@@ -9,8 +9,9 @@ import (
 )
 
 // This file is the interprocedural engine behind the cross-package modes of
-// lockpair, lockorder, nubdiscipline and the whole guardedby analyzer. It
-// computes, per function declared anywhere in the Program:
+// lockpair, lockorder, nubdiscipline, prioritydiscipline and the whole
+// guardedby analyzer. It computes, per function declared anywhere in the
+// Program:
 //
 //   - a bottom-up effect summary (FuncSummary): which lock classes the
 //     function still holds at every return (NetHeld), which it releases on
@@ -23,6 +24,10 @@ import (
 //     every call site (intersected over the call graph to a fixed point),
 //     so a helper that is only ever called under q.mu may touch q's guarded
 //     fields without a finding.
+//
+//   - per bad-operation kind, the first operation the kind forbids under a
+//     spin lock, transitively (badOf): nubdiscipline's blocking,
+//     allocation and callbacks, prioritydiscipline's priority changes.
 //
 //   - flat site records (calls, guarded-field accesses, Wait sites,
 //     stale-local reads) that the guardedby analyzer turns into findings
@@ -138,8 +143,8 @@ type Summaries struct {
 	memo map[string]*FuncSummary
 	busy map[string]bool
 
-	bad     map[string]*badOp
-	badBusy map[string]bool
+	bad     map[badKey]*badOp
+	badBusy map[badKey]bool
 
 	final    bool
 	calls    []callRec
@@ -156,8 +161,8 @@ func newSummaries(prog *Program) *Summaries {
 		prog:    prog,
 		memo:    make(map[string]*FuncSummary),
 		busy:    make(map[string]bool),
-		bad:     make(map[string]*badOp),
-		badBusy: make(map[string]bool),
+		bad:     make(map[badKey]*badOp),
+		badBusy: make(map[badKey]bool),
 	}
 }
 
@@ -309,12 +314,62 @@ func intersectRefs(into, other map[string]refInfo) {
 	}
 }
 
-// badOf is the cross-package nubdiscipline summary: the first Nub-invariant
-// violation anywhere in fn's body (transitively), or nil. The position is
-// resolvable in any Program package: the Loader shares one FileSet.
-func (s *Summaries) badOf(fn *types.Func) *badOp {
-	key := FuncKeyOf(fn)
-	if key == "" {
+// badKind names one analyzer's class of operations forbidden under a spin
+// lock. Each kind is summarized on its own, so one analyzer's violations
+// neither mask nor leak into another's.
+type badKind int
+
+const (
+	badNub      badKind = iota // blocks, allocates or calls back (nubdiscipline)
+	badPriority                // changes a scheduling priority (prioritydiscipline)
+	numBadKinds
+)
+
+// badClassifiers decide, per kind, whether one node is itself a violation
+// (its description) or a static call whose callee's summary decides.
+var badClassifiers = [numBadKinds]func(*Pass, ast.Node) (string, *types.Func){
+	badNub:      nubBadOp,
+	badPriority: priorityBadOp,
+}
+
+// badOp is a violation found at pos: the node itself, or the transitive
+// origin deep in a callee (possibly in another package); findings attach
+// the origin as a related position so one ignore directive there covers
+// every caller. Functions without a body (assembly, linkname) summarize
+// clean: the runtime-facing helpers they bind are the mechanism the Nub is
+// built on.
+type badOp struct {
+	what string
+	pos  token.Pos
+}
+
+type badKey struct {
+	fn   string
+	kind badKind
+}
+
+// badAt classifies one node for kind. When the violation is reached
+// through a call, via is the callee.
+func (s *Summaries) badAt(pass *Pass, kind badKind, n ast.Node) (op *badOp, via *types.Func) {
+	what, callee := badClassifiers[kind](pass, n)
+	if what != "" {
+		return &badOp{what: what, pos: n.Pos()}, nil
+	}
+	if callee != nil {
+		if op := s.badOf(callee, kind); op != nil {
+			return op, callee
+		}
+	}
+	return nil, nil
+}
+
+// badOf is the cross-package summary behind nubdiscipline and
+// prioritydiscipline: the first operation of the given kind anywhere in
+// fn's body (transitively), or nil. The position is resolvable in any
+// Program package: the Loader shares one FileSet.
+func (s *Summaries) badOf(fn *types.Func, kind badKind) *badOp {
+	key := badKey{FuncKeyOf(fn), kind}
+	if key.fn == "" {
 		return nil
 	}
 	if got, ok := s.bad[key]; ok {
@@ -323,7 +378,7 @@ func (s *Summaries) badOf(fn *types.Func) *badOp {
 	if s.badBusy[key] {
 		return nil
 	}
-	d := s.prog.decls[key]
+	d := s.prog.decls[key.fn]
 	if d == nil || d.decl.Body == nil {
 		s.bad[key] = nil
 		return nil
@@ -341,17 +396,8 @@ func (s *Summaries) badOf(fn *types.Func) *badOp {
 		// sites; nested spin sections do not make the *caller* bad. Only
 		// operations that would run under the caller's lock count, which
 		// conservatively is the whole body (paths are not tracked here).
-		if kind, what, origin := classifyBadOp(pass, s.badOf, n); kind != badNone {
-			if !origin.IsValid() {
-				origin = n.Pos()
-			}
-			found = &badOp{kind: kind, what: what, pos: n.Pos(), origin: origin}
-			return false
-		}
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false // closures already flagged as allocation
-		}
-		return true
+		found, _ = s.badAt(pass, kind, n)
+		return found == nil
 	})
 	s.bad[key] = found
 	return found

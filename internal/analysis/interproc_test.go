@@ -8,10 +8,10 @@ import (
 // requireNoFindings runs the analyzer over one fixture package alone — the
 // old same-package engine's view — and requires silence, proving the
 // cross-package finding genuinely needs the multi-package program.
-func requireNoFindings(t *testing.T, fixture string, a *Analyzer, opts map[string]string) {
+func requireNoFindings(t *testing.T, fixture string, a *Analyzer) {
 	t.Helper()
 	pkg := loadFixture(t, fixture)
-	d := &Driver{Analyzers: []*Analyzer{a}, Options: opts}
+	d := &Driver{Analyzers: []*Analyzer{a}}
 	findings, err := d.Run(pkg)
 	if err != nil {
 		t.Fatal(err)
@@ -28,21 +28,44 @@ func requireNoFindings(t *testing.T, fixture string, a *Analyzer, opts map[strin
 // pairuse.leak returns holding Mu.
 func TestLockPairCrossPackage(t *testing.T) {
 	runFixturePkgs(t, []string{"pairdep", "pairuse"}, LockPair, nil)
-	requireNoFindings(t, "pairuse", LockPair, nil)
+	requireNoFindings(t, "pairuse", LockPair)
 }
 
 // The A → B edge is closed only through orderdep.LockB.
 func TestLockOrderCrossPackage(t *testing.T) {
-	opts := map[string]string{"lockorder.interprocedural": "true"}
-	runFixturePkgs(t, []string{"orderdep", "orderuse"}, LockOrder, opts)
-	requireNoFindings(t, "orderuse", LockOrder, opts)
+	runFixturePkgs(t, []string{"orderdep", "orderuse"}, LockOrder, nil)
+	requireNoFindings(t, "orderuse", LockOrder)
 }
 
 // The allocation is inside nubdep.Grow, reachable only through its
 // summary.
 func TestNubDisciplineCrossPackage(t *testing.T) {
 	runFixturePkgs(t, []string{"nubdep", "nubuse"}, NubDiscipline, nil)
-	requireNoFindings(t, "nubuse", NubDiscipline, nil)
+	requireNoFindings(t, "nubuse", NubDiscipline)
+}
+
+// The priority call is inside prioritydep.Raise, reachable only through
+// its summary.
+func TestPriorityDisciplineCrossPackage(t *testing.T) {
+	runFixturePkgs(t, []string{"prioritydep", "priorityuse"}, PriorityDiscipline, nil)
+	requireNoFindings(t, "priorityuse", PriorityDiscipline)
+}
+
+// nubdiscipline and prioritydiscipline share one summary engine, one kind
+// each: over the same program, nubdiscipline reports the allocation
+// reached through prioritydep.Grow and not the priority call reached
+// through prioritydep.Raise (and TestPriorityDisciplineCrossPackage pins
+// the converse).
+func TestSpinDisciplineKindsStaySeparate(t *testing.T) {
+	pkgs := []*Package{loadFixture(t, "prioritydep"), loadFixture(t, "priorityuse")}
+	d := &Driver{Analyzers: []*Analyzer{NubDiscipline}}
+	findings, err := d.RunProgram(NewProgram(pkgs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || !strings.Contains(findings[0].Message, "call to Grow, which performs allocation") {
+		t.Fatalf("nubdiscipline findings = %v, want exactly the call to Grow", findings)
+	}
 }
 
 // A directive at the violation's origin suppresses the finding reported in

@@ -20,12 +20,11 @@ import (
 // mutexes globally; see RefKey). A cycle in the graph is a lock-order
 // inversion some schedule can turn into deadlock.
 //
-// With Pass.Options["lockorder.interprocedural"] set, acquiring a lock
-// inside a callee — declared in this package or any other package of the
-// analyzed program — also closes edges from locks held at the call site:
-// the Program's function summaries record which class-keyed locks each
-// function acquires transitively over the cross-package call graph. This
-// is the slower mode CI runs nightly.
+// Acquiring a lock inside a callee — declared in this package or any other
+// package of the analyzed program — also closes edges from locks held at
+// the call site: the Program's function summaries record which class-keyed
+// locks each function acquires transitively over the cross-package call
+// graph.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "report cycles in the static lock-acquisition order as potential " +
@@ -62,11 +61,7 @@ func runLockOrder(pass *Pass) error {
 		}
 	}
 
-	inter := pass.Options["lockorder.interprocedural"] == "true"
-	var sums *Summaries
-	if inter && pass.Prog != nil {
-		sums = pass.Prog.Summaries()
-	}
+	sums := pass.Prog.Summaries()
 
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -89,9 +84,6 @@ func runLockOrder(pass *Pass) error {
 					}
 				},
 				node: func(n ast.Node, st *holds) bool {
-					if sums == nil {
-						return true
-					}
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
 						return true

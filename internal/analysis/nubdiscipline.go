@@ -40,8 +40,21 @@ var NubDiscipline = &Analyzer{
 }
 
 func runNubDiscipline(pass *Pass) error {
+	runSpinDiscipline(pass, badNub, true, "the Nub invariant permits no "+
+		"blocking, allocation or callbacks inside spin-locked sections "+
+		"(DESIGN.md; paper, Implementation)")
+	return nil
+}
+
+// runSpinDiscipline is the walk nubdiscipline and prioritydiscipline
+// share. In every function of a package that imports internal/spinlock
+// (other than spinlock itself), each node the summary engine classifies as
+// kind while a spin lock is held is reported once, why completing the
+// message. With blocking set, blocking threads-API calls under the lock
+// are reported too.
+func runSpinDiscipline(pass *Pass, kind badKind, blocking bool, why string) {
 	if pass.Pkg.ImportPath == pkgSpinlock {
-		return nil // the lock's own implementation operates on itself
+		return // the lock's own implementation operates on itself
 	}
 	imports := false
 	for _, imp := range pass.Pkg.Types.Imports() {
@@ -51,23 +64,17 @@ func runNubDiscipline(pass *Pass) error {
 		}
 	}
 	if !imports {
-		return nil
+		return
 	}
 
-	lookup := pass.Prog.Summaries().badOf
+	sums := pass.Prog.Summaries()
 	reported := make(map[token.Pos]bool)
-	report := func(pos, origin token.Pos, lock string, format string, args ...any) {
+	report := func(pos, origin token.Pos, lock, what string) {
 		if reported[pos] {
 			return
 		}
 		reported[pos] = true
-		msg := fmt.Sprintf(format, args...)
-		d := Diagnostic{
-			Pos: pos,
-			Message: fmt.Sprintf("%s while spin lock %s is held: the Nub invariant permits no "+
-				"blocking, allocation or callbacks inside spin-locked sections "+
-				"(DESIGN.md; paper, Implementation)", msg, lock),
-		}
+		d := Diagnostic{Pos: pos, Message: fmt.Sprintf("%s while spin lock %s is held: %s", what, lock, why)}
 		if origin.IsValid() {
 			// The transitive origin of the violation: an ignore directive
 			// there covers every call site that reaches it.
@@ -84,31 +91,34 @@ func runNubDiscipline(pass *Pass) error {
 			}
 			w := &seqWalker{pass: pass}
 			w.client = seqClient{
-				call: func(site *CallSite, ref lockRef, st *holds) {
-					lock, held := spinHeld(st)
-					if !held {
-						return
-					}
-					if site.Op.Blocking() {
-						report(site.Call.Pos(), token.NoPos, lock, "blocking call %s(…)", callLabel(site))
-					}
-				},
 				node: func(n ast.Node, st *holds) bool {
 					lock, held := spinHeld(st)
 					if !held {
 						return true
 					}
-					if kind, what, origin := classifyBadOp(pass, lookup, n); kind != badNone {
-						report(n.Pos(), origin, lock, "%s", what)
-						return false
+					op, via := sums.badAt(pass, kind, n)
+					switch {
+					case op == nil:
+						return true
+					case via == nil:
+						report(n.Pos(), token.NoPos, lock, op.what)
+					default:
+						report(n.Pos(), op.pos, lock, fmt.Sprintf("call to %s, which performs %s at %s",
+							via.Name(), op.what, pass.Fset.Position(op.pos)))
 					}
-					return true
+					return false
 				},
+			}
+			if blocking {
+				w.client.call = func(site *CallSite, ref lockRef, st *holds) {
+					if lock, held := spinHeld(st); held && site.Op.Blocking() {
+						report(site.Call.Pos(), token.NoPos, lock, fmt.Sprintf("blocking call %s(…)", callLabel(site)))
+					}
+				}
 			}
 			w.walkFunc(fd)
 		}
 	}
-	return nil
 }
 
 func spinHeld(st *holds) (string, bool) {
@@ -120,120 +130,90 @@ func spinHeld(st *holds) (string, bool) {
 	return "", false
 }
 
-type badKind int
-
-const (
-	badNone badKind = iota
-	badBlock
-	badAlloc
-	badIndirect
-)
-
-// classifyBadOp decides whether a single node violates the Nub discipline,
-// consulting lookup (the Program's cross-package badOf summary) for static
-// calls to functions declared anywhere in the program. The returned
-// position, when valid, is the transitive origin of the violation in a
-// callee (possibly in another package); findings attach it as a related
-// position so one ignore directive at the origin covers every caller.
-func classifyBadOp(pass *Pass, lookup func(*types.Func) *badOp, n ast.Node) (badKind, string, token.Pos) {
+// nubBadOp describes n if it violates the Nub invariant by itself. For a
+// static call that is not itself a violation it returns the callee instead,
+// whose summary decides.
+func nubBadOp(pass *Pass, n ast.Node) (string, *types.Func) {
 	info := pass.Pkg.Info
 	switch n := n.(type) {
 	case *ast.SendStmt:
-		return badBlock, "channel send", token.NoPos
+		return "channel send", nil
 	case *ast.SelectStmt:
-		return badBlock, "select", token.NoPos
+		return "select", nil
 	case *ast.GoStmt:
-		return badAlloc, "go statement (spawns a goroutine)", token.NoPos
+		return "go statement (spawns a goroutine)", nil
 	case *ast.RangeStmt:
 		if t, ok := info.Types[n.X]; ok {
 			if _, isChan := t.Type.Underlying().(*types.Chan); isChan {
-				return badBlock, "range over channel", token.NoPos
+				return "range over channel", nil
 			}
 		}
 	case *ast.UnaryExpr:
 		switch n.Op {
 		case token.ARROW:
-			return badBlock, "channel receive", token.NoPos
+			return "channel receive", nil
 		case token.AND:
 			if _, isLit := ast.Unparen(n.X).(*ast.CompositeLit); isLit {
-				return badAlloc, "allocation (&composite literal)", token.NoPos
+				return "allocation (&composite literal)", nil
 			}
 		}
 	case *ast.FuncLit:
-		return badAlloc, "allocation (closure)", token.NoPos
+		return "allocation (closure)", nil
 	case *ast.BinaryExpr:
 		if n.Op == token.ADD {
 			if t, ok := info.Types[n.X]; ok {
 				if b, isBasic := t.Type.Underlying().(*types.Basic); isBasic && b.Info()&types.IsString != 0 {
-					return badAlloc, "allocation (string concatenation)", token.NoPos
+					return "allocation (string concatenation)", nil
 				}
 			}
 		}
 	case *ast.CallExpr:
-		return classifyBadCall(pass, lookup, n)
+		return nubBadCall(pass, n)
 	}
-	return badNone, "", token.NoPos
+	return "", nil
 }
 
-func classifyBadCall(pass *Pass, lookup func(*types.Func) *badOp, call *ast.CallExpr) (badKind, string, token.Pos) {
+func nubBadCall(pass *Pass, call *ast.CallExpr) (string, *types.Func) {
 	info := pass.Pkg.Info
 	// Type conversions are not calls.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		return badNone, "", token.NoPos
+		return "", nil
 	}
 	switch obj := Callee(info, call).(type) {
 	case *types.Builtin:
 		switch obj.Name() {
 		case "make", "new":
-			return badAlloc, fmt.Sprintf("allocation (%s)", obj.Name()), token.NoPos
+			return fmt.Sprintf("allocation (%s)", obj.Name()), nil
 		case "append":
-			return badAlloc, "allocation (append may grow)", token.NoPos
+			return "allocation (append may grow)", nil
 		}
-		return badNone, "", token.NoPos
+		return "", nil
 	case *types.Func:
 		pkg := obj.Pkg()
 		if pkg == nil {
-			return badNone, "", token.NoPos
+			return "", nil
 		}
 		switch pkg.Path() {
 		case "sync/atomic", pkgSpinlock, "unsafe":
-			return badNone, "", token.NoPos
+			return "", nil
 		case "sync":
-			return badBlock, fmt.Sprintf("sync.%s call (may block or schedule)", obj.Name()), token.NoPos
+			return fmt.Sprintf("sync.%s call (may block or schedule)", obj.Name()), nil
 		case "time":
 			if obj.Name() == "Sleep" || obj.Name() == "After" || obj.Name() == "Tick" {
-				return badBlock, "time." + obj.Name() + " call", token.NoPos
+				return "time." + obj.Name() + " call", nil
 			}
 		case "runtime":
 			if obj.Name() == "Gosched" {
-				return badBlock, "runtime.Gosched call (yields the processor)", token.NoPos
+				return "runtime.Gosched call (yields the processor)", nil
 			}
 		case "fmt", "os", "log", "io":
-			return badBlock, fmt.Sprintf("%s.%s call (I/O)", pkg.Path(), obj.Name()), token.NoPos
+			return fmt.Sprintf("%s.%s call (I/O)", pkg.Path(), obj.Name()), nil
 		}
-		if lookup != nil {
-			if bad := lookup(obj); bad != nil {
-				return bad.kind, fmt.Sprintf("call to %s, which performs %s at %s",
-					obj.Name(), bad.what, pass.Fset.Position(bad.pos)), bad.origin
-			}
-		}
-		return badNone, "", token.NoPos
+		return "", obj
 	default:
 		// No static *types.Func callee: a call through a function value,
 		// field or parameter (Callee yields nil or the *types.Var) —
 		// arbitrary code under the spin lock.
-		return badIndirect, "indirect call through a function value (callback)", token.NoPos
+		return "indirect call through a function value (callback)", nil
 	}
-}
-
-// badOp is the first discipline violation found in a function body,
-// described for interprocedural reporting. Computed per program function by
-// Summaries.badOf; functions without a body (assembly, linkname) summarize
-// clean: the runtime-facing helpers they bind are the mechanism the Nub is
-// built on.
-type badOp struct {
-	kind   badKind
-	what   string
-	pos    token.Pos // the violating node in the summarized function
-	origin token.Pos // the transitive origin, through further callees
 }

@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -25,7 +23,9 @@ import (
 //     order violation);
 //   - ForkPri / ForkNamedPri (allocation and scheduler entry with a
 //     priority in hand);
-//   - calls to same-package functions that transitively do any of the above.
+//   - calls to functions declared anywhere in the analyzed program that
+//     transitively do any of the above (the Program's summary engine, one
+//     bad-operation kind alongside nubdiscipline's).
 //
 // The analyzer runs only on packages that import internal/spinlock, and not
 // on internal/spinlock itself.
@@ -38,78 +38,26 @@ var PriorityDiscipline = &Analyzer{
 }
 
 func runPriorityDiscipline(pass *Pass) error {
-	if pass.Pkg.ImportPath == pkgSpinlock {
-		return nil
-	}
-	imports := false
-	for _, imp := range pass.Pkg.Types.Imports() {
-		if imp.Path() == pkgSpinlock {
-			imports = true
-			break
-		}
-	}
-	if !imports {
-		return nil
-	}
-
-	sums := newPriorityCallSummaries(pass)
-	reported := make(map[token.Pos]bool)
-	report := func(pos token.Pos, lock, what string) {
-		if reported[pos] {
-			return
-		}
-		reported[pos] = true
-		pass.Reportf(pos, "%s while spin lock %s is held: priority changes take the "+
-			"donation lock, the deepest lock in the core lock order (DESIGN.md)", what, lock)
-	}
-
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			w := &seqWalker{pass: pass}
-			w.client = seqClient{
-				node: func(n ast.Node, st *holds) bool {
-					lock, held := spinHeld(st)
-					if !held {
-						return true
-					}
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					if what := classifyPriorityCall(pass, sums, call); what != "" {
-						report(call.Pos(), lock, what)
-						return false
-					}
-					return true
-				},
-			}
-			w.walkFunc(fd)
-		}
-	}
+	runSpinDiscipline(pass, badPriority, false, "priority changes take the "+
+		"donation lock, the deepest lock in the core lock order (DESIGN.md)")
 	return nil
 }
 
-// classifyPriorityCall returns a description if call reaches the priority
-// API (directly, or transitively through a same-package function), else "".
-func classifyPriorityCall(pass *Pass, sums *priorityCallSummaries, call *ast.CallExpr) string {
+// priorityBadOp describes n if it calls the priority API directly. For any
+// other static call it returns the callee, whose summary decides.
+func priorityBadOp(pass *Pass, n ast.Node) (string, *types.Func) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return "", nil
+	}
 	fn, ok := Callee(pass.Pkg.Info, call).(*types.Func)
 	if !ok || fn.Pkg() == nil {
-		return ""
+		return "", nil
 	}
 	if what := priorityAPICall(fn); what != "" {
-		return what
+		return what, nil
 	}
-	if fn.Pkg().Path() == pass.Pkg.ImportPath {
-		if hit := sums.lookup(fn); hit != nil {
-			return fmt.Sprintf("call to %s, which performs %s at %s",
-				fn.Name(), hit.what, pass.Fset.Position(hit.pos))
-		}
-	}
-	return ""
+	return "", fn
 }
 
 // priorityAPICall names the priority-mutating entry points of the threads
@@ -137,82 +85,4 @@ func priorityAPICall(fn *types.Func) string {
 		}
 	}
 	return ""
-}
-
-// priorityHit is the first priority-API call found in a function body.
-type priorityHit struct {
-	what string
-	pos  token.Pos
-}
-
-// priorityCallSummaries lazily computes, per same-package function, whether
-// its body (transitively) calls the priority API.
-type priorityCallSummaries struct {
-	pass  *Pass
-	decls map[*types.Func]*ast.FuncDecl
-	memo  map[*types.Func]*priorityHit
-	stack map[*types.Func]bool
-}
-
-func newPriorityCallSummaries(pass *Pass) *priorityCallSummaries {
-	s := &priorityCallSummaries{
-		pass:  pass,
-		decls: make(map[*types.Func]*ast.FuncDecl),
-		memo:  make(map[*types.Func]*priorityHit),
-		stack: make(map[*types.Func]bool),
-	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name != nil {
-				if fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					s.decls[fn] = fd
-				}
-			}
-		}
-	}
-	return s
-}
-
-func (s *priorityCallSummaries) lookup(fn *types.Func) *priorityHit {
-	if got, ok := s.memo[fn]; ok {
-		return got
-	}
-	if s.stack[fn] {
-		return nil
-	}
-	decl, ok := s.decls[fn]
-	if !ok || decl.Body == nil {
-		s.memo[fn] = nil
-		return nil
-	}
-	s.stack[fn] = true
-	defer delete(s.stack, fn)
-
-	var found *priorityHit
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee, ok := Callee(s.pass.Pkg.Info, call).(*types.Func)
-		if !ok || callee.Pkg() == nil {
-			return true
-		}
-		if what := priorityAPICall(callee); what != "" {
-			found = &priorityHit{what: what, pos: call.Pos()}
-			return false
-		}
-		if callee.Pkg().Path() == s.pass.Pkg.ImportPath {
-			if hit := s.lookup(callee); hit != nil {
-				found = &priorityHit{what: hit.what, pos: hit.pos}
-				return false
-			}
-		}
-		return true
-	})
-	s.memo[fn] = found
-	return found
 }

@@ -417,8 +417,11 @@ func (c *Condition) alertWait(m *Mutex, t *Thread) error {
 			// mutex event — Acquire/Resume CASes fail while the mutex is
 			// held, and only the holder may Release — so the Raise still
 			// lands between the previous holder's event and this thread's
-			// next one in stamp order.
-			m.acquireResume(t, traceCtx{})
+			// next one in stamp order. The reacquisition still takes the
+			// traced transitions: a traced Release may hand the mutex to
+			// this thread and be demoted by a barging acquirer, and only
+			// the traced protocol sees the demotion.
+			m.acquireResume(t, traceCtx{kind: TraceAlertResumeRaise, tid: t.id, obj2: cObj, silent: true})
 			t.consumeAlertEmit(TraceAlertResumeRaise, mObj, cObj)
 			statIncT(t, statAlertedWait)
 			return Alerted

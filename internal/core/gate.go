@@ -87,7 +87,9 @@ func (g *gate) tryAcquire(tc traceCtx) bool {
 	if !g.word.CompareAndSwap(w, seq<<1|gateLockedBit) {
 		return false
 	}
-	traceEmit(seq, tc.kind, tc.tid, traceObjID(&g.traceID), tc.obj2, false)
+	if !tc.silent {
+		traceEmit(seq, tc.kind, tc.tid, traceObjID(&g.traceID), tc.obj2, false)
+	}
 	return true
 }
 
@@ -341,7 +343,7 @@ func (g *gate) finishHandoff(w *waiter, tc traceCtx) bool {
 		return false
 	}
 	w.endEpisode()
-	if tc.kind != TraceNone {
+	if tc.kind != TraceNone && !tc.silent {
 		traceEmit(seq, tc.kind, tc.tid, traceObjID(&g.traceID), tc.obj2, false)
 	}
 	return true

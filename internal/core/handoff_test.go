@@ -421,3 +421,17 @@ func TestHandoffTracedSemaphoreStampOrder(t *testing.T) {
 		t.Fatalf("replayed %d events, want %d", n, goroutines*iters*2)
 	}
 }
+
+// TestFinishHandoffSilentDemoted pins the recipient side of a traced
+// hand-off that a barging acquirer demoted (handoffSeq 0). AlertWait's
+// Raise path reacquires the mutex silently; it must retry like any traced
+// recipient rather than assume the gate is its own, which let two threads
+// hold one mutex while conformance tracing was on.
+func TestFinishHandoffSilentDemoted(t *testing.T) {
+	var g gate
+	w := getWaiter(nil)
+	if g.finishHandoff(w, traceCtx{kind: TraceAlertResumeRaise, silent: true, tid: 1}) {
+		t.Fatal("silent recipient of a demoted hand-off reports holding the gate")
+	}
+	w.endEpisode()
+}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"threads/internal/spinlock"
 )
@@ -214,9 +215,10 @@ var threadIDs atomic.Uint64
 const registryShards = 64
 
 type registryShard struct {
-	lock spinlock.Lock // 32 bytes (bit+contention+MCS tail+holder)
+	lock spinlock.Lock
 	m    map[uint64]*Thread
-	_    [24]byte // round to 64: keep shards on separate cache lines
+	// Round up to a cache line: keep shards on separate lines.
+	_ [cacheLineSize - unsafe.Sizeof(spinlock.Lock{}) - unsafe.Sizeof(map[uint64]*Thread(nil))]byte
 }
 
 var registry [registryShards]*registryShard

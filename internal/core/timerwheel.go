@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"threads/internal/spinlock"
 )
@@ -70,7 +71,7 @@ type timerEntry struct {
 type wheelBucket struct {
 	lock spinlock.Lock
 	head *timerEntry //threads:guardedby lock
-	_    [24]byte
+	_    [cacheLineSize - unsafe.Sizeof(spinlock.Lock{}) - unsafe.Sizeof((*timerEntry)(nil))]byte
 }
 
 func (b *wheelBucket) push(e *timerEntry) {

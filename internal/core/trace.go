@@ -103,10 +103,14 @@ type TraceRecord struct {
 // traceCtx carries the event a gate transition should emit at its winning
 // CAS. A zero traceCtx (Kind == TraceNone) means tracing is off for this
 // operation — the gate then uses the untraced single-CAS fast path.
+// silent takes the traced transitions but emits nothing, for a caller that
+// stamps the linearization point itself: it must still see a traced
+// hand-off's demotion, or it would hold a gate a barging acquirer took.
 type traceCtx struct {
-	kind TraceKind
-	tid  uint64
-	obj2 uint64
+	kind   TraceKind
+	silent bool
+	tid    uint64
+	obj2   uint64
 }
 
 var (

@@ -181,6 +181,8 @@ func TestTraceCollectResetsPositions(t *testing.T) {
 // operation); the enabled case adds the stamp fetch-add and the ring
 // store.
 
+// Ring allocation in StartTracing and the drain in CollectTrace stay
+// outside the timed region: the traced benchmarks price the per-event cost.
 func benchMutexPair(b *testing.B, traced bool) {
 	if traced {
 		StartTracing(1 << 20)
@@ -188,6 +190,7 @@ func benchMutexPair(b *testing.B, traced bool) {
 		defer CollectTrace() // keep the rings from carrying into other tests
 	}
 	var m Mutex
+	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		defer Detach()
 		for pb.Next() {
@@ -195,8 +198,8 @@ func benchMutexPair(b *testing.B, traced bool) {
 			m.Release()
 		}
 	})
+	b.StopTimer()
 	if traced {
-		b.StopTimer()
 		if _, dropped := CollectTrace(); dropped > 0 {
 			b.Logf("note: %d records dropped (ring wrap during benchmark)", dropped)
 		}
@@ -215,10 +218,12 @@ func benchMutexPairSerial(b *testing.B, traced bool) {
 		defer CollectTrace()
 	}
 	var m Mutex
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Acquire()
 		m.Release()
 	}
+	b.StopTimer()
 }
 
 func BenchmarkMutexPairSerialTracingOff(b *testing.B) { benchMutexPairSerial(b, false) }
