@@ -5,7 +5,6 @@
 //	threadsvet ./...
 //	threadsvet -only waitloop,lockpair ./internal/workload
 //	threadsvet -report=github -report vet.txt ./...   # CI annotations + artifact
-//	threadsvet -guardedby.suggest ./...
 //
 // All matched packages are analyzed as one program, so the
 // interprocedural analyzers (guardedby, lockorder, lockpair,
@@ -20,8 +19,8 @@
 // Exit status: 0 when clean, 1 when findings were reported, 2 on usage or
 // load errors. Findings silenced by //threadsvet:ignore directives are
 // counted in the summary but do not fail the run; a malformed, unknown or
-// stale directive is itself a finding. Advisory findings (the
-// -guardedby.suggest proposals) are printed but never fail the run.
+// stale directive is itself a finding. Advisory findings (guardedby's
+// annotation suggestions) are printed but never fail the run.
 package main
 
 import (
@@ -45,11 +44,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var reports reportFlags
 	var (
-		only    = fs.String("only", "", "comma-separated analyzers to run (default: all)")
-		skip    = fs.String("skip", "", "comma-separated analyzers to skip")
-		tests   = fs.Bool("tests", false, "also analyze _test.go files")
-		suggest = fs.Bool("guardedby.suggest", false, "print advisory //threads:guardedby annotation suggestions for consistently guarded fields")
-		list    = fs.Bool("list", false, "list the analyzers and exit")
+		only  = fs.String("only", "", "comma-separated analyzers to run (default: all)")
+		skip  = fs.String("skip", "", "comma-separated analyzers to skip")
+		tests = fs.Bool("tests", false, "also analyze _test.go files")
+		list  = fs.Bool("list", false, "list the analyzers and exit")
 	)
 	fs.Var(&reports, "report", "write every finding (suppressed included) to this file, or \"github\" to emit GitHub Actions ::error annotations on stdout (repeatable)")
 	fs.Usage = func() {
@@ -92,11 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	opts := map[string]string{}
-	if *suggest {
-		opts["guardedby.suggest"] = "true"
-	}
-	driver := &analysis.Driver{Analyzers: analyzers, Options: opts}
+	driver := &analysis.Driver{Analyzers: analyzers}
 
 	// Load every matched package, then analyze them together: the Program is
 	// what lets summaries cross package boundaries.

@@ -3,5 +3,5 @@ package analysis
 import "testing"
 
 func TestAlerted(t *testing.T) {
-	runFixture(t, "alerted", Alerted, nil)
+	runFixture(t, "alerted", Alerted)
 }

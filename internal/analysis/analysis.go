@@ -51,9 +51,6 @@ type Pass struct {
 	// (w := c.Wait): uses the resolver cannot follow.
 	MethodVals []*MethodValue
 
-	// Options carries driver flags ("guardedby.suggest": "true").
-	Options map[string]string
-
 	sites   map[*ast.CallExpr]*CallSite
 	parents map[ast.Node]ast.Node
 	report  func(Diagnostic)
@@ -67,8 +64,8 @@ type Diagnostic struct {
 	// access violates, the callee acquire behind a leak). An ignore
 	// directive at any related position also suppresses the finding.
 	Related []token.Position
-	// Info marks an advisory finding (a -guardedby.suggest proposal): shown,
-	// never counted as failure.
+	// Info marks an advisory finding (a guardedby annotation suggestion):
+	// shown, never counted as failure.
 	Info bool
 }
 
@@ -111,7 +108,6 @@ func (f Finding) String() string {
 // //threadsvet:ignore directives.
 type Driver struct {
 	Analyzers []*Analyzer
-	Options   map[string]string
 }
 
 // IgnoreDirective is the suppression syntax the driver parses:
@@ -157,7 +153,6 @@ func (d *Driver) RunProgram(prog *Program) ([]Finding, error) {
 			a := a
 			pass := prog.pass(ctx)
 			pass.Analyzer = a
-			pass.Options = d.Options
 			pass.report = func(diag Diagnostic) {
 				pos := pass.Fset.Position(diag.Pos)
 				f := Finding{

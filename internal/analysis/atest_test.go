@@ -58,16 +58,16 @@ func loadFixture(t *testing.T, fixture string) *Package {
 // over a fixture and checks its diagnostics against the want comments.
 // Suppressed findings are not matched against wants: suppression fixtures
 // assert over the returned findings directly.
-func runFixture(t *testing.T, fixture string, a *Analyzer, opts map[string]string) []Finding {
+func runFixture(t *testing.T, fixture string, a *Analyzer) []Finding {
 	t.Helper()
-	return runFixturePkgs(t, []string{fixture}, a, opts)
+	return runFixturePkgs(t, []string{fixture}, a)
 }
 
 // runFixturePkgs is runFixture over a multi-package program: every fixture
 // is loaded as an analysis target and they are analyzed together, so
 // cross-package summaries, annotations and suppressions are in play. The
 // want comments of all packages are checked against the combined findings.
-func runFixturePkgs(t *testing.T, fixtures []string, a *Analyzer, opts map[string]string) []Finding {
+func runFixturePkgs(t *testing.T, fixtures []string, a *Analyzer) []Finding {
 	t.Helper()
 	pkgs := make([]*Package, len(fixtures))
 	for i, fixture := range fixtures {
@@ -77,7 +77,7 @@ func runFixturePkgs(t *testing.T, fixtures []string, a *Analyzer, opts map[strin
 	if a != nil {
 		analyzers = []*Analyzer{a}
 	}
-	d := &Driver{Analyzers: analyzers, Options: opts}
+	d := &Driver{Analyzers: analyzers}
 	findings, err := d.RunProgram(NewProgram(pkgs))
 	if err != nil {
 		t.Fatalf("running on %v: %v", fixtures, err)

@@ -3,5 +3,5 @@ package analysis
 import "testing"
 
 func TestCondMutex(t *testing.T) {
-	runFixture(t, "condmutex", CondMutex, nil)
+	runFixture(t, "condmutex", CondMutex)
 }

@@ -30,9 +30,8 @@ import (
 //   - deferred Release: `defer m.Release()` keeps the guard held to every
 //     exit.
 //
-// With -guardedby.suggest, unannotated fields whose writes are
-// consistently covered by one sibling lock get an advisory ready-to-paste
-// annotation suggestion.
+// Unannotated fields whose writes are consistently covered by one sibling
+// lock get an advisory ready-to-paste annotation suggestion.
 var GuardedBy = &Analyzer{
 	Name: "guardedby",
 	Doc: "check that annotated (or inferred) guarded fields are accessed " +
@@ -179,7 +178,6 @@ func runGuardedBy(pass *Pass) error {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
-	suggest := pass.Options["guardedby.suggest"] == "true"
 	for _, key := range keys {
 		inf := inferred[key]
 		if inf.writes >= 4 && inf.covered < inf.writes && inf.covered*4 >= inf.writes*3 {
@@ -196,7 +194,7 @@ func runGuardedBy(pass *Pass) error {
 				})
 			}
 		}
-		if suggest && inf.field.pkg == path && inf.writes >= 2 && inf.covered == inf.writes {
+		if inf.field.pkg == path && inf.writes >= 2 && inf.covered == inf.writes {
 			pass.Report(Diagnostic{
 				Pos:  inf.field.posTok,
 				Info: true,

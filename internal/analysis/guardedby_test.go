@@ -1,41 +1,19 @@
 package analysis
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestGuardedByAnnotated(t *testing.T) {
-	runFixture(t, "guardedby", GuardedBy, nil)
+	runFixture(t, "guardedby", GuardedBy)
 }
 
 func TestGuardedByInference(t *testing.T) {
-	runFixture(t, "guardedby_infer", GuardedBy, map[string]string{"guardedby.suggest": "true"})
-}
-
-// Without the option the deviation is still a finding but the advisory
-// suggestion is not emitted.
-func TestGuardedByInferenceNoSuggest(t *testing.T) {
-	pkg := loadFixture(t, "guardedby_infer")
-	d := &Driver{Analyzers: []*Analyzer{GuardedBy}}
-	findings, err := d.Run(pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		if f.Info {
-			t.Errorf("suggestion emitted without guardedby.suggest: %s", f.Message)
-		}
-		if !strings.Contains(f.Message, "likely missing guard") {
-			t.Errorf("unexpected finding: %s", f.Message)
-		}
-	}
+	runFixture(t, "guardedby_infer", GuardedBy)
 }
 
 // The annotation lives in guardedby_dep; the violation and the
 // summary-covered accesses live in guardedby_x.
 func TestGuardedByCrossPackage(t *testing.T) {
-	findings := runFixturePkgs(t, []string{"guardedby_dep", "guardedby_x"}, GuardedBy, nil)
+	findings := runFixturePkgs(t, []string{"guardedby_dep", "guardedby_x"}, GuardedBy)
 	unsuppressed := 0
 	for _, f := range findings {
 		if !f.Suppressed {

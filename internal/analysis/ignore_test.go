@@ -6,7 +6,7 @@ import (
 )
 
 func TestIgnoreDirectives(t *testing.T) {
-	findings := runFixture(t, "ignore", WaitLoop, nil)
+	findings := runFixture(t, "ignore", WaitLoop)
 
 	var suppressed []Finding
 	for _, f := range findings {

@@ -27,27 +27,27 @@ func requireNoFindings(t *testing.T, fixture string, a *Analyzer) {
 // The acquire and release live in pairdep; only its summaries reveal that
 // pairuse.leak returns holding Mu.
 func TestLockPairCrossPackage(t *testing.T) {
-	runFixturePkgs(t, []string{"pairdep", "pairuse"}, LockPair, nil)
+	runFixturePkgs(t, []string{"pairdep", "pairuse"}, LockPair)
 	requireNoFindings(t, "pairuse", LockPair)
 }
 
 // The A → B edge is closed only through orderdep.LockB.
 func TestLockOrderCrossPackage(t *testing.T) {
-	runFixturePkgs(t, []string{"orderdep", "orderuse"}, LockOrder, nil)
+	runFixturePkgs(t, []string{"orderdep", "orderuse"}, LockOrder)
 	requireNoFindings(t, "orderuse", LockOrder)
 }
 
 // The allocation is inside nubdep.Grow, reachable only through its
 // summary.
 func TestNubDisciplineCrossPackage(t *testing.T) {
-	runFixturePkgs(t, []string{"nubdep", "nubuse"}, NubDiscipline, nil)
+	runFixturePkgs(t, []string{"nubdep", "nubuse"}, NubDiscipline)
 	requireNoFindings(t, "nubuse", NubDiscipline)
 }
 
 // The priority call is inside prioritydep.Raise, reachable only through
 // its summary.
 func TestPriorityDisciplineCrossPackage(t *testing.T) {
-	runFixturePkgs(t, []string{"prioritydep", "priorityuse"}, PriorityDiscipline, nil)
+	runFixturePkgs(t, []string{"prioritydep", "priorityuse"}, PriorityDiscipline)
 	requireNoFindings(t, "priorityuse", PriorityDiscipline)
 }
 
@@ -71,7 +71,7 @@ func TestSpinDisciplineKindsStaySeparate(t *testing.T) {
 // A directive at the violation's origin suppresses the finding reported in
 // the importing package and must count as used, not stale.
 func TestIgnoreDirectiveCrossPackage(t *testing.T) {
-	findings := runFixturePkgs(t, []string{"ignoredep", "ignoreuse"}, NubDiscipline, nil)
+	findings := runFixturePkgs(t, []string{"ignoredep", "ignoreuse"}, NubDiscipline)
 	suppressed := 0
 	for _, f := range findings {
 		if f.Suppressed {
@@ -91,5 +91,5 @@ func TestIgnoreDirectiveCrossPackage(t *testing.T) {
 
 // Corner cases of the sequential walker, pinned under lockpair.
 func TestSeqwalkCorners(t *testing.T) {
-	runFixturePkgs(t, []string{"seqcornerdep", "seqcorner"}, LockPair, nil)
+	runFixturePkgs(t, []string{"seqcornerdep", "seqcorner"}, LockPair)
 }

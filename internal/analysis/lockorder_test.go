@@ -3,9 +3,9 @@ package analysis
 import "testing"
 
 func TestLockOrder(t *testing.T) {
-	runFixture(t, "lockorder", LockOrder, nil)
+	runFixture(t, "lockorder", LockOrder)
 }
 
 func TestLockOrderInterprocedural(t *testing.T) {
-	runFixture(t, "lockorder_inter", LockOrder, nil)
+	runFixture(t, "lockorder_inter", LockOrder)
 }

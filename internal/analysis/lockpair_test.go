@@ -3,5 +3,5 @@ package analysis
 import "testing"
 
 func TestLockPair(t *testing.T) {
-	runFixture(t, "lockpair", LockPair, nil)
+	runFixture(t, "lockpair", LockPair)
 }

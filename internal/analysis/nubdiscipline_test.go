@@ -3,5 +3,5 @@ package analysis
 import "testing"
 
 func TestNubDiscipline(t *testing.T) {
-	runFixture(t, "nubdiscipline", NubDiscipline, nil)
+	runFixture(t, "nubdiscipline", NubDiscipline)
 }

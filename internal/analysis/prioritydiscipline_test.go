@@ -3,5 +3,5 @@ package analysis
 import "testing"
 
 func TestPriorityDiscipline(t *testing.T) {
-	runFixture(t, "prioritydiscipline", PriorityDiscipline, nil)
+	runFixture(t, "prioritydiscipline", PriorityDiscipline)
 }

@@ -81,5 +81,5 @@ func TestResolver(t *testing.T) {
 	}
 
 	// waitloop turns the capture into a diagnostic.
-	runFixture(t, "resolver", WaitLoop, nil)
+	runFixture(t, "resolver", WaitLoop)
 }

@@ -1,7 +1,7 @@
 // Fixture for the guardedby analyzer's inference mode: unannotated fields
 // whose writes dominantly hold one sibling lock. A strong majority with a
 // deviation is a likely missing guard; full consistency becomes an
-// advisory annotation suggestion under -guardedby.suggest.
+// advisory annotation suggestion.
 package guardedbyinferfix
 
 import "threads"

@@ -3,5 +3,5 @@ package analysis
 import "testing"
 
 func TestWaitLoop(t *testing.T) {
-	runFixture(t, "waitloop", WaitLoop, nil)
+	runFixture(t, "waitloop", WaitLoop)
 }

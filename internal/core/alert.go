@@ -41,17 +41,14 @@ func Alert(t *Thread) {
 	var seq, tid uint64
 	if traced {
 		tid = Self().id
-	} else {
-		// Setting the flag before taking the lock narrows the window in
-		// which a concurrent blocking path tests it; traced, the store
-		// moves under the lock so the stamp and the insertion are one
-		// critical section (the flag is also re-stored below, which is
-		// idempotent — alerts is a set).
-		t.alerted.Store(true)
 	}
+	// The insertion and the claim below are one critical section. Were the
+	// flag set before the lock, t could consume it (a self-claimed wait, a
+	// TestAlert) and register its next wait in between, and this one
+	// insertion would end two waits. Traced, the stamp joins them.
 	t.alertLock.Lock()
+	t.alerted.Store(true)
 	if traced {
-		t.alerted.Store(true)
 		seq = nextTraceSeq()
 	}
 	// The claim happens under alertLock, which every blocking path holds

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -373,4 +374,65 @@ func TestAlertDoesNotDisturbPlainWait(t *testing.T) {
 	if pending := <-done; !pending {
 		t.Fatal("alert was lost while thread was in plain Wait")
 	}
+}
+
+// TestAlertDeliveredOnce alternates, on one thread, a wait that only
+// another thread's Alert can end with a short deadline wait that only its
+// own timer can end — the deadline workload's slow client. Each Alert
+// inserts SELF into alerts once, so it may end one wait: an Alert that
+// raced the first wait's own consumption of the flag must not also claim
+// the second wait's waiter. The duplicate shows up as a deadline wait
+// returning Alerted, or as more Alerted returns than Alerts.
+func TestAlertDeliveredOnce(t *testing.T) {
+	var (
+		m      Mutex
+		c      Condition
+		req    atomic.Int64 // slow → alerter: index+1 of the wait to end
+		issued atomic.Int64
+	)
+	const rounds = 400
+	done := make(chan struct{})
+	slow := Fork(func() {
+		defer close(done)
+		alerted := 0
+		for k := 1; k <= rounds; k++ {
+			m.Acquire()
+			req.Store(int64(k))
+			err := c.AlertWait(&m)
+			for err == nil {
+				err = c.AlertWait(&m)
+			}
+			alerted++
+			err = c.AlertWaitDeadline(&m, time.Now().Add(20*time.Microsecond))
+			for err == nil {
+				err = c.AlertWaitDeadline(&m, time.Now().Add(20*time.Microsecond))
+			}
+			m.Release()
+			if err != DeadlineExceeded {
+				t.Errorf("round %d: deadline wait returned %v, want DeadlineExceeded", k, err)
+				return
+			}
+		}
+		if TestAlert() {
+			t.Error("alert pending after the last round")
+		}
+		if n := issued.Load(); int64(alerted) != n {
+			t.Errorf("%d Alerted returns for %d Alerts", alerted, n)
+		}
+	})
+	for served := int64(0); served < rounds; {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if r := req.Load(); r != served {
+			served = r
+			issued.Add(1)
+			Alert(slow)
+		} else {
+			runtime.Gosched()
+		}
+	}
+	Join(slow)
 }

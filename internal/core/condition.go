@@ -60,23 +60,36 @@ type Condition struct {
 	traceID   atomic.Uint64 // conformance-trace identity, assigned lazily
 }
 
-// enqueueTraced is the traced prologue shared by Wait and AlertWait: it
-// reads the eventcount and draws the Enqueue stamp in one Nub critical
-// section (so the stamp orders against every Signal/Broadcast advance),
-// emits the Enqueue event, and releases the mutex with the stamp embedded
-// in its word — Enqueue's ENSURES covers m' = NIL, so no separate Release
-// event is emitted, and the embedded stamp keeps the mutex word's
-// never-repeating regime (a plain 0 would reopen the ABA window the
-// stamping scheme closes; see trace.go).
-func (c *Condition) enqueueTraced(m *Mutex, t *Thread) (i, mObj, cObj uint64) {
+// enqueue is the Enqueue action shared by Wait and AlertWait: read the
+// eventcount, then release the mutex through Release's prologue (a
+// REQUIRES violation is reported against Wait).
+//
+// Untraced, the release is Release's own gate transition, so a queued
+// Acquire may be handed the mutex directly. Traced, the eventcount read
+// and the Enqueue stamp share one Nub critical section (so the stamp
+// orders against every Signal/Broadcast advance), the Enqueue event is
+// emitted, and the mutex is released with the stamp embedded in its word —
+// Enqueue's ENSURES covers m' = NIL, so no separate Release event is
+// emitted, and the embedded stamp keeps the mutex word's never-repeating
+// regime (a plain 0 would reopen the ABA window the stamping scheme
+// closes; see trace.go). mObj and cObj are the trace identities, 0 when
+// untraced.
+func (c *Condition) enqueue(m *Mutex, op mutexOp) (i, mObj, cObj uint64) {
+	if !op.traced {
+		i = c.ec.Read()
+		m.releasing(op, "Wait")
+		m.g.release(&mutexGateStats, traceCtx{})
+		return i, 0, 0
+	}
 	mObj = traceObjID(&m.g.traceID)
 	cObj = traceObjID(&c.traceID)
 	c.nub.Lock()
 	i = c.ec.Read()
 	seq := nextTraceSeq()
 	c.nub.Unlock()
-	traceEmit(seq, TraceEnqueue, t.id, mObj, cObj, false)
-	m.releaseEnqueue(seq)
+	traceEmit(seq, TraceEnqueue, op.t.id, mObj, cObj, false)
+	m.releasing(op, "Wait")
+	m.g.releaseEmbed(&mutexGateStats, seq)
 	return i, mObj, cObj
 }
 
@@ -89,42 +102,26 @@ func (c *Condition) enqueueTraced(m *Mutex, t *Thread) (i, mObj, cObj uint64) {
 // re-evaluated, and Wait called again if it does not hold.
 func (c *Condition) Wait(m *Mutex) {
 	statInc(statWaitCount)
-	if traceOn.Load() {
-		t := Self()
-		c.committed.Add(1)
-		i, mObj, cObj := c.enqueueTraced(m, t)
-		reason, hseq := c.block(i, nil, &m.g)
-		c.committed.Add(-1)
-		if reason == reasonHandoff && hseq != 0 {
-			// A Release handed this (morphed) waiter the mutex directly;
-			// hseq is the stamp its second CAS certified for our
-			// resumption, so the Resume event is emitted here and the
-			// reacquisition is already done. (A demoted hand-off arrives
-			// with hseq 0 and reacquires below like a plain wake.)
-			traceEmit(hseq, TraceResume, t.id, mObj, cObj, false)
-			if checking.Load() {
-				m.holder.Store(t.id)
-			}
-			return
-		}
-		// The Resume action (WHEN m = NIL & NOT SELF IN c, ENSURES
-		// m' = SELF) is stamped at the reacquiring CAS.
-		m.acquireResume(t, traceCtx{kind: TraceResume, tid: t.id, obj2: cObj})
-		return
-	}
+	op := m.op(nil)
 	c.committed.Add(1)
-	i := c.ec.Read()
-	m.Release() //threadsvet:ignore lockpair: Wait itself: the specification releases the caller-held mutex, blocks, reacquires (paper, Wait(m, c))
-	reason, _ := c.block(i, nil, &m.g)
+	i, mObj, cObj := c.enqueue(m, op)
+	reason, hseq := c.block(i, op.t, &m.g)
 	c.committed.Add(-1)
-	if reason == reasonHandoff {
-		// Untraced hand-off: the mutex bit never cleared; we hold it.
-		if checking.Load() {
-			m.holder.Store(Self().id)
+	if reason == reasonHandoff && (hseq != 0 || !op.traced) {
+		// A Release handed this (morphed) waiter the mutex directly and
+		// installed it as the holder of a tracked mutex. Traced, hseq is
+		// the stamp the hand-off's second CAS certified for our
+		// resumption, so the Resume event is emitted here. (A demoted
+		// hand-off arrives with hseq 0 and reacquires below like a plain
+		// wake.)
+		if op.traced {
+			traceEmit(hseq, TraceResume, op.t.id, mObj, cObj, false)
 		}
 		return
 	}
-	m.Acquire() //threadsvet:ignore lockpair: Wait itself: reacquire on resumption; the caller holds m across Wait
+	// The Resume action (WHEN m = NIL & NOT SELF IN c, ENSURES m' = SELF)
+	// is stamped at the reacquiring CAS.
+	m.acquireResume(op, op.trace(TraceResume, cObj))
 }
 
 // spinBlock is Block's analogue of the gate's adaptive spin: before paying
@@ -159,8 +156,11 @@ func (c *Condition) spinBlock(i uint64) bool {
 // intervening Signal or Broadcast) it returns at once, otherwise the
 // calling thread is added to c's queue and descheduled.
 //
-// For alertable waits, t carries the thread so Alert can claim the wait;
-// block returns the wake reason (reasonWake for signal/broadcast or elided
+// t is the waiting thread when the caller knows it (nil lets an anonymous
+// plain Wait draw a pooled waiter); the waiter's owner, it becomes the
+// mutex holder if a Release hands the morphed waiter the mutex. For
+// alertable waits t is never nil and lets Alert claim the wait; block
+// returns the wake reason (reasonWake for signal/broadcast or elided
 // waits, reasonAlert when Alert won, reasonHandoff when a Release handed
 // the morphed waiter the mutex directly — hseq is then the certified
 // resume stamp, or 0 for an untraced or demoted hand-off).
@@ -170,7 +170,8 @@ func (c *Condition) spinBlock(i uint64) bool {
 // on the mutex queue where Alert's claim could not honor the corrected
 // c' = delete(c, SELF) semantics without chasing the node across queues.
 func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
-	if t == nil && c.spinBlock(i) {
+	alertable := mg == nil
+	if !alertable && c.spinBlock(i) {
 		// The eventcount advanced while spinning: the wait is elided
 		// before the waiter is even prepared. Alertable waits skip the
 		// spin — they must register for Alert before any waiting, else
@@ -181,7 +182,7 @@ func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
 	}
 	w := getWaiter(t)
 	w.capturePri(t)
-	if t != nil {
+	if alertable {
 		t.setAlertWaiter(w)
 		// A pending alert satisfies the RAISES WHEN clause already;
 		// claim it and skip the queue entirely.
@@ -190,15 +191,15 @@ func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
 			w.endEpisode()
 			return reasonAlert, 0
 		}
-	} else if mg != nil && CurrentHandoffMode() != HandoffOff {
+	} else if CurrentHandoffMode() != HandoffOff {
 		w.morphGate = mg
 	}
-	w.parkStart = handoffNanos()
+	w.parkStart = nanotime()
 	c.nub.Lock()
 	if c.ec.AdvancedSince(i) {
 		c.nub.Unlock()
 		statInc(statWaitElided)
-		if t != nil {
+		if alertable {
 			t.clearAlertWaiter()
 			if w.reason() == reasonAlert {
 				// Alert claimed us in the window; both outcomes are
@@ -217,7 +218,7 @@ func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
 	c.nub.Unlock()
 	statInc(statWaitPark)
 	reason = w.park()
-	if t != nil {
+	if alertable {
 		t.clearAlertWaiter()
 	}
 	if reason == reasonAlert {
@@ -306,7 +307,7 @@ func (c *Condition) Signal() {
 // member of c until its Resume; its Resume event is emitted at the
 // reacquiring CAS (or with the hand-off's certified stamp) as for any
 // woken waiter, and the thin-air check is satisfied by the Signal stamped
-// above. Only plain Waits morph (block sets morphGate only when t == nil),
+// above. Only plain Waits morph (block sets morphGate only when mg != nil),
 // so the waiter on the mutex queue is unclaimed and cannot be raced by
 // Alert; the gate pops it like any Acquire waiter.
 func (c *Condition) morph(w *waiter, mg *gate) bool {
@@ -403,42 +404,31 @@ func (c *Condition) AlertWait(m *Mutex) error { return c.alertWait(m, Self()) }
 // pays the identity lookup once per operation rather than once per layer.
 func (c *Condition) alertWait(m *Mutex, t *Thread) error {
 	statIncT(t, statWaitCount)
+	op := m.op(t)
 	c.committed.Add(1)
-	if traceOn.Load() {
-		i, mObj, cObj := c.enqueueTraced(m, t)
-		reason, _ := c.block(i, t, nil)
-		c.committed.Add(-1)
-		if reason == reasonAlert {
-			// AlertResume's RAISES case is stamped in the alerts domain
-			// (under t's alertLock, where the alerts-set deletion is
-			// serialized), not at the mutex CAS, so the reacquisition
-			// itself is silent. That is safe: between this thread's
-			// winning CAS and the Raise stamp no other thread can emit a
-			// mutex event — Acquire/Resume CASes fail while the mutex is
-			// held, and only the holder may Release — so the Raise still
-			// lands between the previous holder's event and this thread's
-			// next one in stamp order. The reacquisition still takes the
-			// traced transitions: a traced Release may hand the mutex to
-			// this thread and be demoted by a barging acquirer, and only
-			// the traced protocol sees the demotion.
-			m.acquireResume(t, traceCtx{kind: TraceAlertResumeRaise, tid: t.id, obj2: cObj, silent: true})
-			t.consumeAlertEmit(TraceAlertResumeRaise, mObj, cObj)
-			statIncT(t, statAlertedWait)
-			return Alerted
-		}
-		m.acquireResume(t, traceCtx{kind: TraceAlertResumeReturn, tid: t.id, obj2: cObj})
-		return nil
-	}
-	i := c.ec.Read()
-	m.Release() //threadsvet:ignore lockpair: AlertWait itself: releases the caller-held mutex before blocking (paper, AlertWait(m, c))
+	i, mObj, cObj := c.enqueue(m, op)
 	reason, _ := c.block(i, t, nil)
 	c.committed.Add(-1)
-	m.Acquire() //threadsvet:ignore lockpair: AlertWait itself: reacquire on resumption; the caller holds m across AlertWait
 	if reason == reasonAlert {
-		t.alerted.Store(false)
+		// AlertResume's RAISES case is stamped in the alerts domain (under
+		// t's alertLock, where the alerts-set deletion is serialized), not
+		// at the mutex CAS, so the reacquisition itself is silent. That is
+		// safe: between this thread's winning CAS and the Raise stamp no
+		// other thread can emit a mutex event — Acquire/Resume CASes fail
+		// while the mutex is held, and only the holder may Release — so
+		// the Raise still lands between the previous holder's event and
+		// this thread's next one in stamp order. The reacquisition still
+		// takes the traced transitions: a traced Release may hand the
+		// mutex to this thread and be demoted by a barging acquirer, and
+		// only the traced protocol sees the demotion.
+		tc := op.trace(TraceAlertResumeRaise, cObj)
+		tc.silent = true
+		m.acquireResume(op, tc)
+		t.consumeAlertEmit(TraceAlertResumeRaise, mObj, cObj)
 		statIncT(t, statAlertedWait)
 		return Alerted
 	}
+	m.acquireResume(op, op.trace(TraceAlertResumeReturn, cObj))
 	return nil
 }
 

@@ -114,32 +114,24 @@ func (s *Semaphore) AlertPDeadline(deadline time.Time) error {
 // the alert with TestAlert, an operation the specification admits anywhere.
 func (m *Mutex) AcquireDeadline(deadline time.Time) error {
 	t := Self()
-	check := checking.Load()
-	if check && m.holder.Load() == t.id {
-		panic("threads: recursive AcquireDeadline would deadlock: " + t.name + " already holds the mutex")
-	}
+	op := m.op(t)
+	m.checkNotHeld(op, "AcquireDeadline")
 	if !time.Now().Before(deadline) {
-		//threadsvet:ignore lockpair: returning as holder is AcquireDeadline's contract (nil means acquired); the caller Releases
-		if m.TryAcquire() {
+		if m.tryAcquire(op) {
 			return nil
 		}
 		return DeadlineExceeded
 	}
 	e := t.armDeadline(deadline)
 	var waitErr error
-	if m.g.alertableAcquire(t, &mutexGateStats, traceAcquireCtx(TraceAcquire)) {
+	if m.g.alertableAcquire(t, &mutexGateStats, op.trace(TraceAcquire, 0)) {
 		// Unlike AlertP there is no Raise trace action for a mutex, so
 		// the alerts-set deletion is a TestAlert: spec-admissible at any
 		// point, and stamped honestly when tracing.
 		_ = testAlertT(t) // consumes the alert that ended the wait; finishDeadline maps it to DeadlineExceeded or Alerted
 		waitErr = Alerted
 	} else {
-		if check {
-			m.holder.Store(t.id)
-		}
-		if m.g.pi.Load() {
-			m.g.piSetHolder(t)
-		}
+		m.acquired(op)
 	}
 	return finishDeadline(t, e, waitErr)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -378,4 +379,80 @@ func TestAcquireDeadlineCheckingMode(t *testing.T) {
 		m.Release()
 	})
 	waitDone(t, done, "checking-mode AcquireDeadline")
+}
+
+// TestDeadlineNeverEarly runs many short deadline waits of all three kinds
+// under contention and checks that none reports DeadlineExceeded while
+// time.Now().Before(deadline) still holds. The timer wheel must fire by
+// the same monotonic clock the deadline comparison uses: keyed on the wall
+// clock, a thread descheduled between time.Now's two clock reads leaves a
+// deadline whose wall and monotonic readings disagree, and the wheel fires
+// before the deadline has passed.
+func TestDeadlineNeverEarly(t *testing.T) {
+	var (
+		m Mutex
+		c Condition
+		s Semaphore
+	)
+	s.P() // never available: every AlertPDeadline ends by its deadline
+	stop := make(chan struct{})
+	hog := Fork(func() {
+		// Contention: keep the mutex busy in short bursts, so
+		// AcquireDeadline sometimes wins and sometimes times out.
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m.Acquire()
+			time.Sleep(time.Duration(i%4) * 50 * time.Microsecond)
+			m.Release()
+		}
+	})
+	const (
+		waiters = 4
+		rounds  = 150
+	)
+	var early, exceeded atomic.Int64
+	var ths []*Thread
+	for w := 0; w < waiters; w++ {
+		w := w
+		ths = append(ths, Fork(func() {
+			for i := 0; i < rounds; i++ {
+				deadline := time.Now().Add(time.Duration(20+(i*7+w*13)%180) * time.Microsecond)
+				var err error
+				switch i % 3 {
+				case 0:
+					m.Acquire()
+					err = c.AlertWaitDeadline(&m, deadline)
+					m.Release()
+				case 1:
+					if err = m.AcquireDeadline(deadline); err == nil {
+						m.Release()
+					}
+				case 2:
+					err = s.AlertPDeadline(deadline)
+				}
+				if errors.Is(err, DeadlineExceeded) {
+					exceeded.Add(1)
+					if time.Now().Before(deadline) {
+						early.Add(1)
+					}
+				}
+			}
+		}))
+	}
+	for _, th := range ths {
+		Join(th)
+	}
+	close(stop)
+	Join(hog)
+	s.V()
+	if n := early.Load(); n != 0 {
+		t.Fatalf("%d of %d DeadlineExceeded returns came before their deadline", n, exceeded.Load())
+	}
+	if exceeded.Load() == 0 {
+		t.Fatal("no wait timed out: the deadline paths never ran")
+	}
 }

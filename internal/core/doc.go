@@ -18,7 +18,9 @@
 //
 // A mutex is represented by a pair (lock bit, queue); the lock bit is 0 iff
 // the mutex is NIL in the specification's terms, and no holder is recorded
-// (the paper notes the debugger cannot tell which thread holds a mutex).
+// (the paper notes the debugger cannot tell which thread holds a mutex)
+// unless checking mode or priority inheritance turns on the gate's one
+// holder record.
 // A semaphore has the identical representation; P is Acquire and V is
 // Release. A condition variable is a pair (eventcount, queue); Wait reads
 // the eventcount, releases the mutex and calls Block(c, i), which under the

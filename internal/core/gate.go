@@ -32,11 +32,12 @@ type gate struct {
 
 	// pi enables priority inheritance (Mutex.SetPriorityInheritance): a
 	// blocked Acquire donates its priority to the holder, restored at
-	// Release. piHolder is the thread currently inside the gate, guarded
-	// by nub; nil when the holder is unknown (anonymous acquisition before
-	// priorities were in use) — donors then skip, a heuristic miss.
-	pi       atomic.Bool
-	piHolder *Thread //threads:guardedby nub
+	// Release.
+	pi atomic.Bool
+	// holder is the mutex's holder, the specification's m, while the gate
+	// tracks it (holderTracking); nil otherwise. Mutex.acquired (or, for
+	// a transfer, releaseHandoff) installs it; Mutex.releasing clears it.
+	holder *Thread //threads:guardedby nub
 }
 
 // gateLockedBit is bit 0 of the gate word.
@@ -96,8 +97,8 @@ func (g *gate) tryAcquire(tc traceCtx) bool {
 // acquire implements Acquire/P. The user code test-and-sets the lock bit,
 // then briefly spins for the holder to leave, and calls the Nub subroutine
 // only if the bit stays set. t carries the calling thread when the caller
-// already knows it (PI mutexes, alertable paths); nil lets the slow path
-// recover it lazily, and only when priorities are in use.
+// already knows it (holder-tracking mutexes, traced operations); nil lets
+// the slow path recover it lazily, and only when priorities are in use.
 func (g *gate) acquire(t *Thread, st *gateStats, tc traceCtx) {
 	if g.tryAcquire(tc) {
 		statInc(st.fast)
@@ -123,7 +124,7 @@ func (g *gate) acquireNub(t *Thread, st *gateStats, tc traceCtx) {
 	statInc(st.nubEnter)
 	w := getWaiter(t)
 	t = w.capturePri(t)
-	w.parkStart = handoffNanos()
+	w.parkStart = nanotime()
 	for {
 		g.nub.Lock()
 		g.q.Push(&w.item)
@@ -223,13 +224,6 @@ func (g *gate) releaseNub(st *gateStats) {
 		g.qlen.Add(-1)
 		w := n.Value
 		if w.claim(reasonWake) {
-			if g.pi.Load() {
-				// Not a transfer — the woken thread retries its
-				// test-and-set and may lose — but the holder identity is
-				// unknown until someone wins, so clear it rather than
-				// leave a stale target for donations.
-				g.piHolder = nil
-			}
 			g.nub.Unlock()
 			w.wake()
 			return
@@ -272,7 +266,7 @@ func (g *gate) releaseHandoff(st *gateStats, tc traceCtx) bool {
 	}
 	var cutoff int64
 	if mode == HandoffAdaptive {
-		cutoff = handoffNanos() - handoffStarveNs
+		cutoff = nanotime() - handoffStarveNs
 	}
 	g.nub.Lock()
 	if mode == HandoffAdaptive {
@@ -301,10 +295,11 @@ func (g *gate) releaseHandoff(st *gateStats, tc traceCtx) bool {
 		}
 		// Claimed by Alert after enqueueing; it no longer wants the gate.
 	}
-	if g.pi.Load() {
+	if track, _ := g.holderTracking(); track && st == &mutexGateStats {
 		// The transfer makes w's thread the holder the moment the wake
 		// lands; install it while the nub lock still serializes donors.
-		g.piHolder = w.owner
+		// Every path that parks on a tracked mutex names its thread.
+		g.holder = w.owner
 	}
 	g.nub.Unlock()
 	statInc(st.relHandoff)
@@ -370,7 +365,7 @@ func (g *gate) alertableAcquire(t *Thread, st *gateStats, tc traceCtx) (alerted 
 	statIncT(t, st.nubEnter)
 	w := getWaiter(t)
 	w.capturePri(t)
-	w.parkStart = handoffNanos()
+	w.parkStart = nanotime()
 	for {
 		t.setAlertWaiter(w)
 		// A pending alert claims the wait immediately: the WHEN clause
@@ -443,7 +438,7 @@ func (g *gate) alertableAcquire(t *Thread, st *gateStats, tc traceCtx) (alerted 
 // A blocked Acquire on a PI gate donates its effective priority to the
 // holder; the holder's Release removes the donation. Donation and holder
 // maintenance are serialized by the gate's nub spin lock: donors read
-// piHolder and donate while holding it, and the releaser clears piHolder
+// holder and donate while holding it, and the releaser clears holder
 // under it before undonating, so no donation can land on a thread that has
 // already left the gate — a boost can therefore never outlive the hold it
 // compensates for. The nesting nub → donLock is one of the package's two
@@ -467,7 +462,7 @@ func (g *gate) piDonate(w *waiter) {
 	if !g.pi.Load() {
 		return
 	}
-	h := g.piHolder
+	h := g.holder
 	if h == nil || h == w.owner {
 		return
 	}
@@ -475,26 +470,6 @@ func (g *gate) piDonate(w *waiter) {
 	if pri > h.effPri.Load() {
 		h.donate(g, pri)
 	}
-}
-
-// piSetHolder records t as the gate's current occupant for donation
-// targeting. Called by every PI-mutex acquisition path once it holds the
-// gate.
-func (g *gate) piSetHolder(t *Thread) {
-	g.nub.Lock()
-	g.piHolder = t
-	g.nub.Unlock()
-}
-
-// piClearHolder removes and returns the recorded occupant; the caller (the
-// releasing holder) then undonates. Clearing under nub before the lock
-// word transitions means a donor serialized after us sees nil and skips.
-func (g *gate) piClearHolder() *Thread {
-	g.nub.Lock()
-	h := g.piHolder
-	g.piHolder = nil
-	g.nub.Unlock()
-	return h
 }
 
 // locked reports the lock bit (true = held/unavailable).

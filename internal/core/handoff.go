@@ -61,12 +61,3 @@ func CurrentHandoffMode() HandoffMode { return HandoffMode(handoffMode.Load()) }
 // switches releases to direct hand-off. 1ms, as in sync.Mutex's
 // starvationThresholdNs.
 const handoffStarveNs = int64(time.Millisecond)
-
-// handoffEpoch anchors handoffNanos: time.Since carries the monotonic
-// clock, so the values never jump with wall-clock adjustments.
-var handoffEpoch = time.Now()
-
-// handoffNanos is the coarse monotonic clock behind parkStart. It is
-// called only on slow paths that are about to park (and by releaseHandoff
-// before taking the Nub lock), never inside a spin-lock critical section.
-func handoffNanos() int64 { return int64(time.Since(handoffEpoch)) }

@@ -40,10 +40,11 @@ const (
 	timerIdle uint32 = iota
 	// timerArmed: linked into a bucket, waiting to fire or be cancelled.
 	timerArmed
-	// timerFiring: the runner won the CAS from armed and is delivering the
-	// Alert. A cancel arriving now spins until timerFired — briefly, the
-	// firing window is one Alert call — so the owner never races the
-	// delivery.
+	// timerFiring: the runner won the CAS from armed (during its scan,
+	// under the bucket lock) and is delivering the Alert. A cancel arriving
+	// now spins until timerFired — briefly, the firing window is the rest
+	// of one scan and its Alert calls — so the owner never races the
+	// delivery, nor the runner's use of the entry's links.
 	timerFiring
 	// timerFired: the Alert has been delivered. The runner never touches
 	// the entry again after this store, so the owner may reuse it.
@@ -59,7 +60,7 @@ const (
 type timerEntry struct {
 	state  atomic.Uint32
 	t      *Thread
-	when   int64 // deadline, ns (time.Time.UnixNano)
+	when   int64 // deadline, nanotime scale
 	linked bool
 	next   *timerEntry
 	prev   *timerEntry
@@ -130,7 +131,7 @@ func (t *Thread) armDeadline(deadline time.Time) *timerEntry {
 		e = &timerEntry{t: t}
 		t.timerE = e
 	}
-	e.when = deadline.UnixNano()
+	e.when = nanotimeAt(deadline)
 	e.state.Store(timerArmed)
 	statIncT(t, statTimerArm)
 	wheel.arm(e)
@@ -181,7 +182,7 @@ func (tw *timerWheel) run() {
 		// armed after this store either is seen by the scan below or reads
 		// an earliest it can lower (and kicks).
 		tw.earliest.Store(math.MaxInt64)
-		now := time.Now().UnixNano()
+		now := nanotime()
 		next := int64(math.MaxInt64)
 		var expired *timerEntry
 		for i := range tw.buckets {
@@ -191,12 +192,17 @@ func (tw *timerWheel) run() {
 				n := e.next
 				if e.when <= now {
 					b.unlink(e)
-					// Chain expired entries through next for firing
-					// outside the lock; unlink cleared the pointers and
-					// a cancelled entry skips its own unlink once
-					// linked is false.
-					e.next = expired
-					expired = e
+					// Claim the entry while the lock still makes it
+					// current: from timerFiring on its owner cannot
+					// reuse it (cancelAndDrain waits for timerFired), so
+					// chaining it through next for firing outside the
+					// lock is safe. An entry its owner already cancelled
+					// is only unlinked; the owner's own unlink then
+					// skips it, since linked is false.
+					if e.state.CompareAndSwap(timerArmed, timerFiring) {
+						e.next = expired
+						expired = e
+					}
 				} else if e.when < next {
 					next = e.when
 				}
@@ -207,13 +213,11 @@ func (tw *timerWheel) run() {
 		for e := expired; e != nil; {
 			n := e.next
 			e.next = nil
-			if e.state.CompareAndSwap(timerArmed, timerFiring) {
-				Alert(e.t)
-				statIncT(e.t, statTimerFire)
-				// The final runner access: after this store the owner's
-				// cancelAndDrain may reuse the entry.
-				e.state.Store(timerFired)
-			}
+			Alert(e.t)
+			statIncT(e.t, statTimerFire)
+			// The final runner access: after this store the owner's
+			// cancelAndDrain may reuse the entry.
+			e.state.Store(timerFired)
 			e = n
 		}
 		for {
@@ -225,7 +229,7 @@ func (tw *timerWheel) run() {
 		wake := tw.earliest.Load()
 		d := time.Hour
 		if wake != math.MaxInt64 {
-			d = time.Duration(wake - time.Now().UnixNano())
+			d = time.Duration(wake - nanotime())
 			if d <= 0 {
 				continue
 			}

@@ -60,10 +60,11 @@ type waiter struct {
 	// priorities are unused.
 	item  queue.PItem[*waiter]
 	state atomic.Uint64 // generation<<2 | reason
-	// owner is the blocking Thread when known (alertable paths always, any
-	// path once priorities are in use); nil for anonymous blockers.
-	// releaseHandoff reads it under the gate's Nub lock to install the
-	// hand-off recipient as the priority-inheritance holder.
+	// owner is the blocking Thread when known (alertable paths, traced or
+	// holder-tracking mutex operations, any path once priorities are in
+	// use); nil for anonymous blockers. releaseHandoff reads it under the
+	// gate's Nub lock to install the hand-off recipient as the holder of a
+	// tracked mutex.
 	owner *Thread
 	// parked is the one-shot parking place, reused across generations. Per
 	// episode at most one token is sent (by the winning claimer) and
@@ -75,7 +76,7 @@ type waiter struct {
 	// Thread; endEpisode returns only those to the pool.
 	pooled bool
 	// parkStart records when this episode committed to the slow path
-	// (handoffNanos units); 0 until then. releaseHandoff reads it under
+	// (nanotime units); 0 until then. releaseHandoff reads it under
 	// the gate's Nub lock to apply the adaptive starvation threshold; it
 	// is always written before the waiter is published to a queue, so the
 	// queue's lock ordering makes the plain field race-free.

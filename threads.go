@@ -208,8 +208,10 @@ func SnapshotStats() Stats { return core.SnapshotStats() }
 // ResetStats zeroes the contention counters.
 func ResetStats() { core.ResetStats() }
 
-// SetChecking enables a debugging mode in which mutexes record their
-// holders: Release by a non-holder and recursive Acquire panic instead of
-// silently misbehaving. It returns the previous setting. The production
-// representation, like the paper's, records no holder.
+// SetChecking enables a debugging mode in which every mutex tracks its
+// holder: Release (or Wait) by a non-holder and recursive Acquire panic
+// instead of silently misbehaving. It returns the previous setting. The
+// holder record is the one priority inheritance also uses; with neither
+// switch on, the representation, like the paper's, records no holder.
+// Flip it only while no mutex is held.
 func SetChecking(on bool) bool { return core.SetChecking(on) }
