@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 build examples vet test race bench bench-baseline bench-check sweep sweep-baseline conformance lint threadsvet explore fuzz
+.PHONY: tier1 build examples vet test race bench bench-baseline bench-check sweep conformance lint threadsvet explore fuzz
 
 tier1: build examples vet race test conformance threadsvet
 
@@ -80,10 +80,12 @@ fuzz:
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# bench-baseline regenerates the committed regression baseline; run it only
-# when a change intentionally moves a metric, and commit the new file.
+# bench-baseline regenerates the committed regression baseline — the
+# scalar metrics and the scaling curves together, through the sweep matrix
+# runner; run it only when a change intentionally moves a metric or a
+# curve, and commit the new file.
 bench-baseline:
-	$(GO) run ./cmd/threadsbench -json BENCH_1.json
+	bench/sweep.sh -json BENCH_1.json
 
 # bench-check compares the current build against the committed baseline on
 # the machine-independent metrics (add -timed manually for same-machine
@@ -97,9 +99,4 @@ bench-check:
 # same-machine comparisons or -cores/-samples overrides.
 SWEEP_FLAGS ?=
 sweep:
-	$(GO) run ./cmd/threadsbench -sweep -baseline BENCH_2.json $(SWEEP_FLAGS)
-
-# sweep-baseline regenerates the committed curve baseline; run it only when
-# a change intentionally moves a curve, and commit the new file.
-sweep-baseline:
-	$(GO) run ./cmd/threadsbench -sweep -json BENCH_2.json $(SWEEP_FLAGS)
+	$(GO) run ./cmd/threadsbench -sweep -baseline BENCH_1.json $(SWEEP_FLAGS)

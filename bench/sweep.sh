@@ -8,10 +8,10 @@
 # heap-size luck between runs).
 #
 # Usage:
-#   bench/sweep.sh                       # sweep, compare against BENCH_2.json
-#   bench/sweep.sh -json BENCH_2.json    # regenerate the committed curves
+#   bench/sweep.sh                       # sweep, compare against BENCH_1.json
+#   bench/sweep.sh -json BENCH_1.json    # regenerate the committed baseline
 #   CORES=1,2,4,8 SAMPLES=5 bench/sweep.sh -timed
-#   OUT=sweep.json bench/sweep.sh -json "$OUT" -baseline BENCH_2.json
+#   OUT=sweep.json bench/sweep.sh -json "$OUT" -baseline BENCH_1.json
 #
 # Environment:
 #   CORES    comma-separated GOMAXPROCS values (default: 1,2,4,... to nproc)
@@ -46,9 +46,9 @@ fi
 
 echo "sweep: cores $CORES x $SAMPLES samples on $ncpu-CPU host (GOGC=$GOGC)" >&2
 
-# Default action: enforce the committed curves. Overridden if the caller
+# Default action: enforce the committed baseline. Overridden if the caller
 # passes their own -json/-baseline.
-action="-baseline BENCH_2.json"
+action="-baseline BENCH_1.json"
 for arg in "$@"; do
     case "$arg" in
     -json|-baseline) action="" ;;

@@ -19,11 +19,12 @@
 // curves: the E11–E13 contended workloads are re-run at each GOMAXPROCS
 // value in -cores (default: doubling up to NumCPU), best of -samples runs
 // per point, and the comparator additionally enforces curve *shape*
-// (internal/bench.CompareCurves):
+// (internal/bench.CompareCurves). The committed BENCH_1.json holds the
+// scalar metrics and the curves in one file (schema 2):
 //
-//	threadsbench -sweep -json BENCH_2.json             # collect curves
-//	threadsbench -sweep -baseline BENCH_2.json         # enforce stable curves
-//	threadsbench -sweep -cores 1,2 -samples 1 -quick -baseline BENCH_2.json
+//	threadsbench -sweep -json BENCH_1.json             # collect metrics and curves
+//	threadsbench -sweep -baseline BENCH_1.json         # enforce stable curves too
+//	threadsbench -sweep -cores 1,2 -samples 1 -quick -baseline BENCH_1.json
 //	                                                   # CI smoke: prefix only
 //
 // The profiling flags apply to any mode, so a sweep knee can be diagnosed

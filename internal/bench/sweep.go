@@ -83,7 +83,7 @@ func sweepWorkloads() []sweepWorkload {
 // rest is scheduler noise). GOMAXPROCS is restored before returning.
 // Values above runtime.NumCPU() oversubscribe the machine; the curve is
 // still meaningful (it measures contention behavior, not parallel
-// speedup), and BENCH_2.json documents the host it was collected on.
+// speedup), and BENCH_1.json documents the host it was collected on.
 func CollectSweep(cores []int, samples int, quick bool) []Curve {
 	return collectSweep(sweepWorkloads(), cores, samples, quick)
 }
@@ -301,8 +301,7 @@ func compareNormalized(b, c Curve, pts []Point, tol float64) []Regression {
 
 // E16 sweeps the contended workloads across core counts with the
 // scalability fixes switched off (the paper-faithful configuration every
-// earlier experiment measured) and on, and reports the sharded-counter
-// scaling of the counting semaphore separately.
+// earlier experiment measured) and on.
 func E16(o Options) []*Table {
 	t := &Table{
 		ID:    "E16",
@@ -360,34 +359,5 @@ cache-line storm of truly parallel waiters.`,
 			}
 		}
 	}
-	core.SetHandoffMode(prevH)
-
-	shards := &Table{
-		ID:    "E16b",
-		Title: "sharded semaphore counters: uncontended-token P/V ladder",
-		Note: `8 goroutines P/V a counting semaphore holding 8 tokens — nobody blocks, so
-the measurement is pure counter traffic: one shard is a single contended
-cache line, per-core shards spread it. ns/op, best of 2 samples.`,
-		Headers: []string{"shards", "cores", "ns/op", "vs 1 shard"},
-	}
-	ladderTotal := o.pick(100_000, 500_000)
-	kMax := cores[len(cores)-1]
-	shardCores := []int{1, kMax}
-	if kMax == 1 {
-		shardCores = []int{1}
-	}
-	base := map[int]float64{}
-	for _, nshards := range []int{1, 4, 16} {
-		run := func(n int) { RunCSemLadder(8, nshards, n) }
-		curves := collectSweep([]sweepWorkload{{
-			id: "csem", run: run, quickN: ladderTotal, fullN: ladderTotal,
-		}}, shardCores, samples, o.Quick)
-		for _, p := range curves[0].Points {
-			if nshards == 1 {
-				base[p.Cores] = p.Value
-			}
-			shards.Add(nshards, p.Cores, F(p.Value, 1), F(p.Value/base[p.Cores], 2))
-		}
-	}
-	return []*Table{t, shards}
+	return []*Table{t}
 }

@@ -253,3 +253,51 @@ func simLatch(waiters int) SimProgram {
 		},
 	}
 }
+
+// simCSem is derived.CountingSemaphore's protocol: one mutex guards a
+// permit count, Acquire waits on the nonZero condition in a loop while the
+// count is zero (Wait's return is a hint, and a barging Acquire may take
+// the permit a Release signalled for), and Release returns the permit
+// under the mutex and then Signals. The detectors are the abstract ones:
+// never more than tokens threads between Acquire and Release, and the
+// count back at tokens at quiescence (a double-granted or stranded permit
+// shows up here).
+func simCSem(tokens, threads int) SimProgram {
+	return SimProgram{
+		Procs: threads,
+		Build: func(w *simthreads.World, k *simthreads.Kernel) func() error {
+			m := w.NewMutex()
+			nonZero := w.NewCondition()
+			var permits, inCS, overlap sim.Word
+			permits.Poke(uint64(tokens))
+			for i := 0; i < threads; i++ {
+				k.Spawn(fmt.Sprintf("t%d", i+1), func(e *sim.Env) {
+					m.Acquire(e)
+					for e.Load(&permits) == 0 {
+						nonZero.Wait(e, m)
+					}
+					e.Add(&permits, ^uint64(0))
+					m.Release(e)
+					if e.Add(&inCS, 1) > uint64(tokens) {
+						e.Store(&overlap, 1)
+					}
+					e.Work(1)
+					e.Add(&inCS, ^uint64(0))
+					m.Acquire(e)
+					e.Add(&permits, 1)
+					m.Release(e)
+					nonZero.Signal(e)
+				})
+			}
+			return func() error {
+				if overlap.Peek() != 0 {
+					return fmt.Errorf("more than %d threads inside the counting-semaphore region", tokens)
+				}
+				if got := permits.Peek(); got != uint64(tokens) {
+					return fmt.Errorf("permit count is %d at quiescence, want %d (permit granted twice or stranded)", got, tokens)
+				}
+				return nil
+			}
+		},
+	}
+}

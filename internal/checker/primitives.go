@@ -86,7 +86,7 @@ func Primitives() []*Primitive {
 		{
 			Name:           "counting-semaphore",
 			Layer:          "derived",
-			SpecFace:       "derived from Mutex+Condition: sharded token cells with optimistic P and repair; traces replay through the spec state machine",
+			SpecFace:       "derived from Mutex+Condition: a permit count guarded by one mutex, Acquire waiting on a condition in a loop, Release then Signal; traces replay through the spec state machine",
 			Litmuses:       []string{"csem"},
 			VetObligations: []string{"waitloop"},
 		},

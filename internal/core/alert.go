@@ -36,7 +36,7 @@ var Alerted = errors.New("threads: alerted")
 // (AlertWaitDeadline, AlertPDeadline, AcquireDeadline) discharge this
 // obligation internally and should be preferred for timeouts.
 func Alert(t *Thread) {
-	statIncT(t, statAlerts)
+	statInc(statAlerts)
 	traced := traceOn.Load()
 	var seq, tid uint64
 	if traced {
@@ -62,7 +62,7 @@ func Alert(t *Thread) {
 			traceEmit(seq, TraceAlert, tid, 0, t.id, false)
 		}
 		w.wake()
-		statIncT(t, statAlertWakes)
+		statInc(statAlertWakes)
 		return
 	}
 	t.alertLock.Unlock()
@@ -98,7 +98,7 @@ func testAlertT(t *Thread) bool {
 		b = t.alerted.Swap(false)
 	}
 	if b {
-		statIncT(t, statTestAlertTrue)
+		statInc(statTestAlertTrue)
 	}
 	return b
 }
@@ -107,14 +107,24 @@ func testAlertT(t *Thread) bool {
 // consuming it (advisory; an extension used by monitoring code and tests).
 func AlertPending(t *Thread) bool { return t.alerted.Load() }
 
-// setAlertWaiter publishes w as the waiter Alert should wake. It is set
-// before the alerted flag is tested in the blocking paths, and Alert sets
-// the flag before reading the registration, so at least one side always
-// observes the other: no alert can slip between the test and the park.
-func (t *Thread) setAlertWaiter(w *waiter) {
+// registerAlertWaiter publishes w as the waiter Alert should wake and, if
+// an alert is already pending, claims w for it at once: the WHEN clause of
+// the RAISES case is already true, so the caller ends the episode without
+// waiting. It reports whether that self-claim won. The registration
+// (under alertLock) precedes the test of the alerted flag, and Alert sets
+// the flag and reads the registration in one alertLock critical section,
+// so at least one side always observes the other: no alert can slip
+// between the test and the park. (If the self-claim loses to a concurrent Alert, that Alert's wake
+// token is consumed by the caller's park or drain.)
+func (t *Thread) registerAlertWaiter(w *waiter) (alerted bool) {
 	t.alertLock.Lock()
 	t.alertW = w
 	t.alertLock.Unlock()
+	if t.alerted.Load() && w.claim(reasonAlert) {
+		t.clearAlertWaiter()
+		return true
+	}
+	return false
 }
 
 func (t *Thread) clearAlertWaiter() {

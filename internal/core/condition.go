@@ -183,11 +183,9 @@ func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
 	w := getWaiter(t)
 	w.capturePri(t)
 	if alertable {
-		t.setAlertWaiter(w)
-		// A pending alert satisfies the RAISES WHEN clause already;
-		// claim it and skip the queue entirely.
-		if t.alerted.Load() && w.claim(reasonAlert) {
-			t.clearAlertWaiter()
+		// A pending alert satisfies the RAISES WHEN clause already; the
+		// wait skips the queue entirely.
+		if t.registerAlertWaiter(w) {
 			w.endEpisode()
 			return reasonAlert, 0
 		}
@@ -403,7 +401,7 @@ func (c *Condition) AlertWait(m *Mutex) error { return c.alertWait(m, Self()) }
 // alertWait is AlertWait with SELF already recovered, so AlertWaitDeadline
 // pays the identity lookup once per operation rather than once per layer.
 func (c *Condition) alertWait(m *Mutex, t *Thread) error {
-	statIncT(t, statWaitCount)
+	statInc(statWaitCount)
 	op := m.op(t)
 	c.committed.Add(1)
 	i, mObj, cObj := c.enqueue(m, op)
@@ -425,7 +423,7 @@ func (c *Condition) alertWait(m *Mutex, t *Thread) error {
 		tc.silent = true
 		m.acquireResume(op, tc)
 		t.consumeAlertEmit(TraceAlertResumeRaise, mObj, cObj)
-		statIncT(t, statAlertedWait)
+		statInc(statAlertedWait)
 		return Alerted
 	}
 	m.acquireResume(op, op.trace(TraceAlertResumeReturn, cObj))

@@ -59,7 +59,7 @@ func finishDeadline(t *Thread, e *timerEntry, waitErr error) error {
 		// may still be pending on this thread — consume it now, while it
 		// is provably ours, so it cannot leak into a later wait.
 		if testAlertT(t) {
-			statIncT(t, statTimerDrain)
+			statInc(statTimerDrain)
 		}
 		if waitErr != nil {
 			return DeadlineExceeded
@@ -124,7 +124,7 @@ func (m *Mutex) AcquireDeadline(deadline time.Time) error {
 	}
 	e := t.armDeadline(deadline)
 	var waitErr error
-	if m.g.alertableAcquire(t, &mutexGateStats, op.trace(TraceAcquire, 0)) {
+	if m.g.acquire(t, &mutexGateStats, op.trace(TraceAcquire, 0), true) {
 		// Unlike AlertP there is no Raise trace action for a mutex, so
 		// the alerts-set deletion is a TestAlert: spec-admissible at any
 		// point, and stamped honestly when tracing.

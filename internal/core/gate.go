@@ -94,21 +94,34 @@ func (g *gate) tryAcquire(tc traceCtx) bool {
 	return true
 }
 
-// acquire implements Acquire/P. The user code test-and-sets the lock bit,
-// then briefly spins for the holder to leave, and calls the Nub subroutine
-// only if the bit stays set. t carries the calling thread when the caller
-// already knows it (holder-tracking mutexes, traced operations); nil lets
-// the slow path recover it lazily, and only when priorities are in use.
-func (g *gate) acquire(t *Thread, st *gateStats, tc traceCtx) {
+// acquire implements Acquire and P, and — with alertable set — AlertP's
+// blocking discipline (AcquireDeadline's too): the user code test-and-sets
+// the lock bit, then briefly spins for the holder to leave, and calls the
+// Nub subroutine only if the bit stays set. t carries the calling thread
+// when the caller already knows it (holder-tracking mutexes, traced
+// operations, every alertable wait); nil lets the slow path recover it
+// lazily, and only when priorities are in use.
+//
+// An alertable wait can be claimed by Alert(t), in which case the thread
+// leaves the queue and acquire reports alerted instead of acquiring. tc
+// carries the normal-return event (for AlertP, AlertP.Return); on the
+// alerted path no gate event is emitted — the caller records the alerts-set
+// deletion under t's alertLock, where it is serialized against Alert and
+// TestAlert.
+func (g *gate) acquire(t *Thread, st *gateStats, tc traceCtx, alertable bool) (alerted bool) {
 	if g.tryAcquire(tc) {
+		// Both WHEN clauses of AlertP may be enabled at once (s available
+		// and SELF in alerts); the implementation is free to choose, and
+		// the fast path chooses to return normally.
 		statInc(st.fast)
-		return
+		return false
 	}
-	if g.spinAcquire(tc) {
+	// A pending alert skips the spin: the RAISES clause is already enabled.
+	if !(alertable && t.alerted.Load()) && g.spinAcquire(tc) {
 		statInc(st.spin)
-		return
+		return false
 	}
-	g.acquireNub(t, st, tc)
+	return g.acquireNub(t, st, tc, alertable)
 }
 
 // acquireNub is the Nub subroutine for Acquire. Under the spin lock it adds
@@ -119,34 +132,68 @@ func (g *gate) acquire(t *Thread, st *gateStats, tc traceCtx) {
 //
 // One waiter serves every round of the retry loop; the enqueue and the
 // back-out happen under a single hold of the Nub lock, so a backed-out
-// waiter was never visible to releaseNub and its episode ends unclaimed.
-func (g *gate) acquireNub(t *Thread, st *gateStats, tc traceCtx) {
+// waiter was never visible to releaseNub and its episode ends unclaimed —
+// unless Alert claimed it, which only an alertable wait registers for.
+func (g *gate) acquireNub(t *Thread, st *gateStats, tc traceCtx, alertable bool) (alerted bool) {
 	statInc(st.nubEnter)
 	w := getWaiter(t)
 	t = w.capturePri(t)
 	w.parkStart = nanotime()
 	for {
+		if alertable && t.registerAlertWaiter(w) {
+			w.endEpisode()
+			return true
+		}
+		reason := reasonNone
 		g.nub.Lock()
 		g.q.Push(&w.item)
 		g.qlen.Add(1)
-		if !g.locked() {
+		if g.locked() {
+			g.piDonate(w)
+			g.nub.Unlock()
+			statInc(st.park)
+			reason = w.park()
+		} else {
 			// A Release slipped in before we enqueued; back out and
 			// retry from the test-and-set.
 			g.q.Remove(&w.item)
 			g.qlen.Add(-1)
 			g.nub.Unlock()
 			statInc(st.backout)
-		} else {
-			g.piDonate(w)
-			g.nub.Unlock()
-			statInc(st.park)
-			if w.park() == reasonHandoff && g.finishHandoff(w, tc) {
-				return
+		}
+		if alertable {
+			t.clearAlertWaiter()
+			if w.reason() == reasonAlert {
+				if reason == reasonNone {
+					// Alert claimed us while we backed out; honor it.
+					// The enqueue and back-out were one critical
+					// section, so only Alert can have claimed — and it
+					// owes a wake token, which must be consumed before
+					// reuse.
+					w.drain()
+				} else {
+					// Leave the queue before reporting the alert so a
+					// later Release or V is not absorbed by a departed
+					// thread.
+					g.nub.Lock()
+					if g.q.Remove(&w.item) {
+						g.qlen.Add(-1)
+					}
+					g.nub.Unlock()
+				}
+				w.endEpisode()
+				return true
 			}
+		}
+		// A racing Alert that lost the claim to a hand-off or wake stays
+		// pending for the next alertable point — the implementation
+		// chose RETURNS, as the fast path does.
+		if reason == reasonHandoff && g.finishHandoff(w, tc) {
+			return false
 		}
 		if g.tryAcquire(tc) {
 			w.endEpisode()
-			return
+			return false
 		}
 		w.begin()
 	}
@@ -176,20 +223,17 @@ func (g *gate) release(st *gateStats, tc traceCtx) {
 	g.releaseCommon(st)
 }
 
-// releaseEmbed is release for Wait's mutex hand-off: the caller has already
-// emitted an Enqueue event (which subsumes the specification-level Release)
-// with the given stamp, and the stamp is embedded in the word so any later
-// Acquire of this mutex outranks the Enqueue. seq == 0 means untraced.
-// Only mutex holders call this, so the CAS cannot race another transition.
+// releaseEmbed is release for a traced Wait's mutex hand-off: the caller
+// has already emitted an Enqueue event (which subsumes the
+// specification-level Release) with the given stamp, and the stamp is
+// embedded in the word so any later Acquire of this mutex outranks the
+// Enqueue. Only mutex holders call this, so the CAS cannot race another
+// transition.
 func (g *gate) releaseEmbed(st *gateStats, seq uint64) {
-	if seq == 0 {
-		g.word.Store(0)
-	} else {
-		for {
-			w := g.word.Load()
-			if g.word.CompareAndSwap(w, seq<<1) {
-				break
-			}
+	for {
+		w := g.word.Load()
+		if g.word.CompareAndSwap(w, seq<<1) {
+			break
 		}
 	}
 	g.releaseCommon(st)
@@ -342,94 +386,6 @@ func (g *gate) finishHandoff(w *waiter, tc traceCtx) bool {
 		traceEmit(seq, tc.kind, tc.tid, traceObjID(&g.traceID), tc.obj2, false)
 	}
 	return true
-}
-
-// alertableAcquire implements AlertP's blocking discipline: like acquire,
-// but the wait can be claimed by Alert(t), in which case the thread leaves
-// the queue and reports the alert instead of acquiring. tc carries the
-// normal-return event (AlertP.Return); on the alerted paths no gate event
-// is emitted — the caller records AlertP.Raise under t's alertLock, where
-// the alerts-set deletion is serialized against Alert and TestAlert.
-func (g *gate) alertableAcquire(t *Thread, st *gateStats, tc traceCtx) (alerted bool) {
-	if g.tryAcquire(tc) {
-		// Both WHEN clauses of AlertP may be enabled at once (s
-		// available and SELF in alerts); the implementation is free to
-		// choose, and the fast path chooses to return normally.
-		statIncT(t, st.fast)
-		return false
-	}
-	if !t.alerted.Load() && g.spinAcquire(tc) {
-		statIncT(t, st.spin)
-		return false
-	}
-	statIncT(t, st.nubEnter)
-	w := getWaiter(t)
-	w.capturePri(t)
-	w.parkStart = nanotime()
-	for {
-		t.setAlertWaiter(w)
-		// A pending alert claims the wait immediately: the WHEN clause
-		// of the RAISES case is already true. (If the self-claim loses
-		// to a concurrent Alert, the Alert's wake token is consumed by
-		// the park or drain below.)
-		if t.alerted.Load() && w.claim(reasonAlert) {
-			t.clearAlertWaiter()
-			w.endEpisode()
-			return true
-		}
-		g.nub.Lock()
-		g.q.Push(&w.item)
-		g.qlen.Add(1)
-		if !g.locked() {
-			g.q.Remove(&w.item)
-			g.qlen.Add(-1)
-			g.nub.Unlock()
-			statIncT(t, st.backout)
-			t.clearAlertWaiter()
-			if w.reason() == reasonAlert {
-				// Alert claimed us while we backed out; honor it. The
-				// enqueue and back-out were one critical section, so
-				// only Alert can have claimed — and it owes a wake
-				// token, which must be consumed before reuse.
-				w.drain()
-				w.endEpisode()
-				return true
-			}
-			if g.tryAcquire(tc) {
-				w.endEpisode()
-				return false
-			}
-			w.begin()
-			continue
-		}
-		g.piDonate(w)
-		g.nub.Unlock()
-		statIncT(t, st.park)
-		reason := w.park()
-		t.clearAlertWaiter()
-		if reason == reasonAlert {
-			// Leave the queue before reporting the alert so a later V
-			// is not absorbed by a departed thread.
-			g.nub.Lock()
-			if g.q.Remove(&w.item) {
-				g.qlen.Add(-1)
-			}
-			g.nub.Unlock()
-			w.endEpisode()
-			return true
-		}
-		if reason == reasonHandoff && g.finishHandoff(w, tc) {
-			// A racing Alert that lost the claim stays pending for the
-			// next alertable point — the implementation chose RETURNS,
-			// as the fast path does.
-			return false
-		}
-		if g.tryAcquire(tc) {
-			w.endEpisode()
-			return false
-		}
-		w.begin()
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -28,18 +29,12 @@ func statsDelta(t *testing.T, fn func()) Stats {
 	before := SnapshotStats()
 	fn()
 	after := SnapshotStats()
-	return Stats{
-		ReleaseFast:    after.ReleaseFast - before.ReleaseFast,
-		ReleaseNub:     after.ReleaseNub - before.ReleaseNub,
-		ReleaseHandoff: after.ReleaseHandoff - before.ReleaseHandoff,
-		VFast:          after.VFast - before.VFast,
-		VNub:           after.VNub - before.VNub,
-		VHandoff:       after.VHandoff - before.VHandoff,
-		AcquirePark:    after.AcquirePark - before.AcquirePark,
-		PPark:          after.PPark - before.PPark,
-		SignalWoke:     after.SignalWoke - before.SignalWoke,
-		SignalMorph:    after.SignalMorph - before.SignalMorph,
+	var d Stats
+	a, b, dv := reflect.ValueOf(after), reflect.ValueOf(before), reflect.ValueOf(&d).Elem()
+	for i := 0; i < dv.NumField(); i++ {
+		dv.Field(i).SetUint(a.Field(i).Uint() - b.Field(i).Uint())
 	}
+	return d
 }
 
 func TestHandoffModeRoundTrip(t *testing.T) {

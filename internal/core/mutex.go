@@ -134,12 +134,12 @@ func (m *Mutex) Acquire() {
 		// inlined predicate the compiler lays this case out after a taken
 		// branch, and the uncontended pair measured ~8 ns slower (go1.24,
 		// 2-vCPU Xeon).
-		m.g.acquire(nil, &mutexGateStats, traceCtx{})
+		m.g.acquire(nil, &mutexGateStats, traceCtx{}, false)
 		return
 	}
 	op := m.op(nil)
 	m.checkNotHeld(op, "Acquire")
-	m.g.acquire(op.t, &mutexGateStats, op.trace(TraceAcquire, 0))
+	m.g.acquire(op.t, &mutexGateStats, op.trace(TraceAcquire, 0), false)
 	m.acquired(op)
 }
 
@@ -190,7 +190,7 @@ func (m *Mutex) PriorityInheritance() bool { return m.g.pi.Load() }
 // supplied by the caller. A zero tc reacquires untraced; a silent one
 // takes the traced transitions without emitting.
 func (m *Mutex) acquireResume(op mutexOp, tc traceCtx) {
-	m.g.acquire(op.t, &mutexGateStats, tc)
+	m.g.acquire(op.t, &mutexGateStats, tc, false)
 	m.acquired(op)
 }
 

@@ -30,7 +30,7 @@ type Semaphore struct {
 
 // P blocks until the semaphore is available and makes it unavailable.
 func (s *Semaphore) P() {
-	s.g.acquire(nil, &semGateStats, traceAcquireCtx(TraceP))
+	s.g.acquire(nil, &semGateStats, traceAcquireCtx(TraceP), false)
 }
 
 // TryP makes the semaphore unavailable if it is available and reports
@@ -74,7 +74,7 @@ func (s *Semaphore) alertP(t *Thread) error {
 	if traceOn.Load() {
 		tc = traceCtx{kind: TraceAlertPReturn, tid: t.id}
 	}
-	if s.g.alertableAcquire(t, &semGateStats, tc) {
+	if s.g.acquire(t, &semGateStats, tc, true) {
 		// The alerts-set deletion is the linearization point of the RAISES
 		// case; consume the flag and stamp it under t's alertLock, which
 		// serializes it against Alert's insertion.
@@ -83,7 +83,7 @@ func (s *Semaphore) alertP(t *Thread) error {
 			obj = traceObjID(&s.g.traceID)
 		}
 		t.consumeAlertEmit(TraceAlertPRaise, obj, 0)
-		statIncT(t, statAlertedP)
+		statInc(statAlertedP)
 		return Alerted
 	}
 	return nil

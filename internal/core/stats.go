@@ -164,14 +164,6 @@ func statAdd(id statID, n uint64) {
 
 func statInc(id statID) { statAdd(id, 1) }
 
-// statIncT is statInc for call sites that already hold a Thread: the shard
-// index hashes the thread id instead of re-deriving an identity.
-func statIncT(t *Thread, id statID) {
-	if statsEnabled.Load() {
-		statShards[uintptr(t.id*0x9e3779b9)&statShardMask].c[id].Add(1)
-	}
-}
-
 // SnapshotStats returns the current counter values, aggregated over all
 // shards.
 //

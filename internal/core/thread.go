@@ -176,7 +176,7 @@ func (t *Thread) recalcPriLocked() {
 		kind = TracePriBoost
 		stat = statPriBoost
 	}
-	statIncT(t, stat)
+	statInc(stat)
 	if traceOn.Load() {
 		// The stamp is drawn and recorded under donLock: per-thread
 		// priority transitions are totally ordered, which is exactly the
