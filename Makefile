@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 build examples vet test race bench bench-baseline bench-check sweep conformance lint threadsvet explore fuzz
+.PHONY: tier1 build examples vet test race bench bench-baseline bench-check perfbench-test sweep conformance lint threadsvet explore fuzz
 
 tier1: build examples vet race test conformance threadsvet
 
@@ -92,6 +92,13 @@ bench-baseline:
 # wall-clock comparisons).
 bench-check:
 	$(GO) run ./cmd/threadsbench -baseline BENCH_1.json
+
+# perfbench-test runs the end-to-end benchmark's own tests: its checker
+# self-tests and the Stats counter invariants its ledger relies on
+# (SignalWoke <= SignalNub among them). perfbench is a module of its own,
+# so `go test ./...` at the root does not reach it.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # sweep runs the core-count scaling sweep (E11–E13 across GOMAXPROCS) and
 # enforces the committed curves' shape; bench/sweep.sh is the matrix runner

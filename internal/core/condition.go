@@ -50,12 +50,17 @@ type Condition struct {
 	// nonzero priorities in the process the order is exactly FIFO.
 	q queue.PriorityQueue[*waiter]
 	// committed counts threads that have entered the Wait protocol (read
-	// the eventcount) and not yet left it. The user code for Signal and
-	// Broadcast avoids calling the Nub when it is zero. It is incremented
-	// before the eventcount is read, so any Signal issued after a thread
-	// commits to waiting either sees the commitment or advances the
-	// eventcount that the thread's Block will re-check — no wakeup is
-	// lost in the window (the "wakeup-waiting race", experiment E4).
+	// the eventcount) and whose waiter has not yet been removed from q.
+	// The user code for Signal and Broadcast avoids calling the Nub when
+	// it is zero. It is incremented before the eventcount is read, so any
+	// Signal issued after a thread commits to waiting either sees the
+	// commitment or advances the eventcount that the thread's Block will
+	// re-check — no wakeup is lost in the window (the "wakeup-waiting
+	// race", experiment E4). Whoever takes a waiter off q drops its
+	// commitment (Signal and Broadcast per node popped, an alerted waiter
+	// only when its own Remove succeeds), and block drops it on every exit
+	// that never queued. A popped waiter that has not run yet needs no
+	// further Signal, so Signals after the pop take the fast path.
 	committed atomic.Int32
 	traceID   atomic.Uint64 // conformance-trace identity, assigned lazily
 }
@@ -106,7 +111,6 @@ func (c *Condition) Wait(m *Mutex) {
 	c.committed.Add(1)
 	i, mObj, cObj := c.enqueue(m, op)
 	reason, hseq := c.block(i, op.t, &m.g)
-	c.committed.Add(-1)
 	if reason == reasonHandoff && (hseq != 0 || !op.traced) {
 		// A Release handed this (morphed) waiter the mutex directly and
 		// installed it as the holder of a tracked mutex. Traced, hseq is
@@ -130,11 +134,11 @@ func (c *Condition) Wait(m *Mutex) {
 // a few hundred nanoseconds. Returns true if the count advanced — the same
 // condition Block checks under the lock — so the wait is elided without
 // ever touching the queue. Skipped whenever another thread is committed to
-// the Wait protocol (the lock-free proxy for "the queue may be nonempty"):
-// an eventcount advance would resume that thread too, so spinning past it
-// cannot starve anyone, but it would make the spinner steal wakeups the
-// queued thread was closer to; lone-waiter spinning mirrors sync.Mutex's
-// empty-queue policy.
+// the Wait protocol and not yet popped (the lock-free proxy for "the queue
+// is, or is about to be, nonempty"): an eventcount advance would resume
+// that thread too, so spinning past it cannot starve anyone, but it would
+// make the spinner steal wakeups the queued thread was closer to;
+// lone-waiter spinning mirrors sync.Mutex's empty-queue policy.
 func (c *Condition) spinBlock(i uint64) bool {
 	if !canSpin() {
 		return false
@@ -177,6 +181,7 @@ func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
 		// spin — they must register for Alert before any waiting, else
 		// a pending alert would sit undelivered for the spin's
 		// duration.
+		c.committed.Add(-1)
 		statInc(statWaitSpin)
 		return reasonWake, 0
 	}
@@ -186,6 +191,7 @@ func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
 		// A pending alert satisfies the RAISES WHEN clause already; the
 		// wait skips the queue entirely.
 		if t.registerAlertWaiter(w) {
+			c.committed.Add(-1)
 			w.endEpisode()
 			return reasonAlert, 0
 		}
@@ -196,6 +202,7 @@ func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
 	c.nub.Lock()
 	if c.ec.AdvancedSince(i) {
 		c.nub.Unlock()
+		c.committed.Add(-1)
 		statInc(statWaitElided)
 		if alertable {
 			t.clearAlertWaiter()
@@ -223,10 +230,13 @@ func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
 		// Remove ourselves from c — the corrected AlertWait semantics:
 		// c' = delete(c, SELF) on the Alerted path, so a later Signal
 		// is never absorbed by this departed thread. A racing Signal
-		// may have popped us already; Remove is then a no-op and that
-		// Signal has re-popped another waiter.
+		// may have popped us already; Remove is then a no-op, and that
+		// Signal, which dropped our commitment with the pop, has
+		// re-popped another waiter.
 		c.nub.Lock()
-		c.q.Remove(&w.item)
+		if c.q.Remove(&w.item) {
+			c.committed.Add(-1)
+		}
 		c.nub.Unlock()
 	}
 	hseq = w.handoffSeq
@@ -240,8 +250,9 @@ func (c *Condition) block(i uint64, t *Thread, mg *gate) (reason, hseq uint64) {
 // hint, permissible only when all waiters wait for the same predicate.
 func (c *Condition) Signal() {
 	if c.committed.Load() == 0 {
-		// User-code optimization: no thread is committed to waiting, so
-		// no Nub call. (Any thread that commits later will re-check the
+		// User-code optimization: no thread is committed to waiting, or
+		// every committed thread's waiter has already been popped, so no
+		// Nub call. (Any thread that commits later will re-check the
 		// predicate before blocking — under the mutex its change is
 		// visible — so nothing is lost.) No trace event either: this path
 		// neither advances the eventcount nor touches the queue, so it can
@@ -268,6 +279,7 @@ func (c *Condition) Signal() {
 		if n == nil {
 			break
 		}
+		c.committed.Add(-1)
 		w := n.Value
 		if mg := w.morphGate; mg != nil && c.morph(w, mg) {
 			return
@@ -355,6 +367,8 @@ func (c *Condition) Broadcast() {
 	if traced {
 		traceEmit(nextTraceSeq(), TraceBroadcast, tid, traceObjID(&c.traceID), 0, false)
 	}
+	// Every drained waiter leaves c here, so its commitment goes with it.
+	c.committed.Add(-int32(c.q.Len()))
 	// Claim and wake under the Nub lock: wake never blocks (the parking
 	// place is buffered), claims stay within the popped episodes, and the
 	// drain allocates nothing — where the old PopAll built a slice per
@@ -406,7 +420,6 @@ func (c *Condition) alertWait(m *Mutex, t *Thread) error {
 	c.committed.Add(1)
 	i, mObj, cObj := c.enqueue(m, op)
 	reason, _ := c.block(i, t, nil)
-	c.committed.Add(-1)
 	if reason == reasonAlert {
 		// AlertResume's RAISES case is stamped in the alerts domain (under
 		// t's alertLock, where the alerts-set deletion is serialized), not

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -378,4 +379,256 @@ func TestWaitersAdvisoryCount(t *testing.T) {
 	}
 	c.Signal()
 	waitDone(t, done, "single waiter")
+}
+
+// wantCommitted fails the test unless c counts exactly n committed,
+// un-popped waiters.
+func wantCommitted(t *testing.T, c *Condition, n int32, when string) {
+	t.Helper()
+	if got := c.committed.Load(); got != n {
+		t.Fatalf("committed = %d %s, want %d", got, when, n)
+	}
+}
+
+// forkWaiter forks a thread that waits on c until *ready holds (read under
+// m).
+func forkWaiter(m *Mutex, c *Condition, ready *bool) *Thread {
+	return Fork(func() {
+		m.Acquire()
+		for !*ready {
+			c.Wait(m)
+		}
+		m.Release()
+	})
+}
+
+// signalInWindow runs Wait's commit and eventcount read on the calling
+// goroutine, issues a Signal in the window before Block (the
+// wakeup-waiting race of E4), then blocks: the wait must end without
+// queueing, by the spin when it can run and by the Nub's re-check when it
+// cannot.
+func signalInWindow(c *Condition) {
+	c.committed.Add(1)
+	i := c.ec.Read()
+	c.Signal()
+	c.block(i, nil, new(gate))
+}
+
+// TestConditionCommitmentAccounting ends a wait by every exit Block has —
+// woken, morphed, broadcast, elided, spin win, alerted before and after
+// queueing, alerted while a Signal re-pops past it, deadline expiry — and
+// checks that c.committed counts each waiter until it is queued and
+// popped, returns to exactly 0, and is never seen negative. A leaked
+// commitment is still correct, only slow (every later Signal enters the
+// Nub), so no behavioural test would notice one; a double drop would let a
+// Signal skip a queued waiter.
+func TestConditionCommitmentAccounting(t *testing.T) {
+	const n = 3
+	cases := []struct {
+		name string
+		mode HandoffMode
+		// singleP runs on one processor: the spin is off, and a woken
+		// thread cannot run until the test goroutine blocks.
+		singleP, needSpin bool
+		run               func(t *testing.T, m *Mutex, c *Condition)
+		exited            func(Stats) bool // the stats show the wait took the exit under test
+	}{
+		{name: "signal-wake", mode: HandoffOff, run: func(t *testing.T, m *Mutex, c *Condition) {
+			var ready bool
+			th := forkWaiter(m, c, &ready)
+			waitForWaiters(t, c.Waiters, 1)
+			wantCommitted(t, c, 1, "with one waiter queued")
+			m.Acquire()
+			ready = true
+			m.Release()
+			c.Signal()
+			wantCommitted(t, c, 0, "after Signal popped the waiter")
+			Join(th)
+		}, exited: func(s Stats) bool { return s.SignalWoke == 1 }},
+		{name: "signal-morph", mode: HandoffAdaptive, run: func(t *testing.T, m *Mutex, c *Condition) {
+			var ready bool
+			th := forkWaiter(m, c, &ready)
+			waitForWaiters(t, c.Waiters, 1)
+			m.Acquire()
+			ready = true
+			c.Signal()
+			wantCommitted(t, c, 0, "after Signal morphed the waiter onto the held mutex")
+			m.Release()
+			Join(th)
+		}, exited: func(s Stats) bool { return s.SignalMorph == 1 }},
+		{name: "broadcast", mode: HandoffOff, run: func(t *testing.T, m *Mutex, c *Condition) {
+			var ready bool
+			var ths []*Thread
+			for j := 0; j < n; j++ {
+				ths = append(ths, forkWaiter(m, c, &ready))
+			}
+			waitForWaiters(t, c.Waiters, n)
+			wantCommitted(t, c, n, "with every waiter queued")
+			m.Acquire()
+			ready = true
+			m.Release()
+			c.Broadcast()
+			wantCommitted(t, c, 0, "after Broadcast drained the queue")
+			for _, th := range ths {
+				Join(th)
+			}
+		}, exited: func(s Stats) bool { return s.BcastWoke == n }},
+		{name: "elided", singleP: true, run: func(t *testing.T, m *Mutex, c *Condition) {
+			signalInWindow(c)
+		}, exited: func(s Stats) bool { return s.WaitElided == 1 }},
+		{name: "spin-win", needSpin: true, run: func(t *testing.T, m *Mutex, c *Condition) {
+			signalInWindow(c)
+		}, exited: func(s Stats) bool { return s.WaitSpin == 1 }},
+		{name: "alert-before-queueing", run: func(t *testing.T, m *Mutex, c *Condition) {
+			var err error
+			Join(Fork(func() {
+				Alert(Self())
+				m.Acquire()
+				err = c.AlertWait(m)
+				m.Release()
+			}))
+			if err != Alerted {
+				t.Fatalf("AlertWait with an alert pending returned %v, want Alerted", err)
+			}
+		}, exited: func(s Stats) bool { return s.AlertedWait == 1 && s.WaitPark == 0 }},
+		{name: "alert-after-queueing", run: func(t *testing.T, m *Mutex, c *Condition) {
+			var err error
+			th := Fork(func() {
+				m.Acquire()
+				err = c.AlertWait(m)
+				m.Release()
+			})
+			waitForWaiters(t, c.Waiters, 1)
+			wantCommitted(t, c, 1, "with the alertable waiter queued")
+			Alert(th)
+			Join(th)
+			if err != Alerted {
+				t.Fatalf("alerted AlertWait returned %v, want Alerted", err)
+			}
+		}, exited: func(s Stats) bool { return s.AlertedWait == 1 && s.WaitPark == 1 }},
+		{name: "alert-signal-repop", mode: HandoffOff, singleP: true, run: func(t *testing.T, m *Mutex, c *Condition) {
+			// The alerted thread is queued first. On one processor it
+			// cannot run between Alert's claim and the Signal, so the
+			// Signal pops it, loses the claim, and re-pops the second
+			// waiter; the alerted thread's own Remove then finds
+			// nothing to remove and must not drop its commitment again.
+			var err error
+			alerted := Fork(func() {
+				m.Acquire()
+				err = c.AlertWait(m)
+				m.Release()
+			})
+			waitForWaiters(t, c.Waiters, 1)
+			var ready bool
+			th := forkWaiter(m, c, &ready)
+			waitForWaiters(t, c.Waiters, 2)
+			m.Acquire()
+			ready = true
+			m.Release()
+			Alert(alerted)
+			c.Signal()
+			wantCommitted(t, c, 0, "after Signal popped both waiters")
+			Join(alerted)
+			Join(th)
+			if err != Alerted {
+				t.Fatalf("alerted AlertWait returned %v, want Alerted", err)
+			}
+		}, exited: func(s Stats) bool { return s.SignalRepop == 1 && s.SignalWoke == 1 }},
+		{name: "deadline-expiry", run: func(t *testing.T, m *Mutex, c *Condition) {
+			var err error
+			Join(Fork(func() {
+				m.Acquire()
+				err = c.AlertWaitDeadline(m, time.Now().Add(10*time.Millisecond))
+				m.Release()
+			}))
+			if err != DeadlineExceeded {
+				t.Fatalf("AlertWaitDeadline returned %v, want DeadlineExceeded", err)
+			}
+		}, exited: func(s Stats) bool { return s.AlertedWait == 1 }},
+	}
+	for _, x := range cases {
+		t.Run(x.name, func(t *testing.T) {
+			if x.needSpin && !canSpin() {
+				t.Skip("adaptive spinning is off on a single processor")
+			}
+			if x.singleP {
+				prev := runtime.GOMAXPROCS(1)
+				t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+			}
+			withHandoffMode(t, x.mode)
+			var (
+				m     Mutex
+				c     Condition
+				least atomic.Int32
+			)
+			stop := make(chan struct{})
+			var watcher sync.WaitGroup
+			watcher.Add(1)
+			go func() {
+				defer watcher.Done()
+				for {
+					if v := c.committed.Load(); v < least.Load() {
+						least.Store(v)
+					}
+					select {
+					case <-stop:
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
+			}()
+			s := statsDelta(t, func() { x.run(t, &m, &c) })
+			close(stop)
+			watcher.Wait()
+			wantCommitted(t, &c, 0, "after the wait ended")
+			if v := least.Load(); v < 0 {
+				t.Fatalf("committed went negative (%d) during the wait", v)
+			}
+			if !x.exited(s) {
+				t.Fatalf("the wait did not take the %s exit: stats %+v", x.name, s)
+			}
+		})
+	}
+}
+
+// TestSignalAfterPopTakesFastPath pins the short-circuit the commitment
+// accounting buys: once a Signal has popped the only waiter, later Signals
+// find nobody committed and stay in user code, whether the popped waiter
+// was morphed onto the held mutex or woken to contend for it. The test
+// holds the mutex throughout, so the popped waiter cannot re-commit, and
+// the counts are exact on any machine.
+func TestSignalAfterPopTakesFastPath(t *testing.T) {
+	const k = 5
+	for _, x := range []struct {
+		name        string
+		mode        HandoffMode
+		morph, woke uint64
+	}{{"HandoffAdaptive", HandoffAdaptive, 1, 0}, {"HandoffOff", HandoffOff, 0, 1}} {
+		t.Run(x.name, func(t *testing.T) {
+			withHandoffMode(t, x.mode)
+			var (
+				m     Mutex
+				c     Condition
+				ready bool
+			)
+			th := forkWaiter(&m, &c, &ready)
+			waitForWaiters(t, c.Waiters, 1)
+			s := statsDelta(t, func() {
+				m.Acquire()
+				ready = true
+				for j := 0; j <= k; j++ {
+					c.Signal()
+				}
+				m.Release()
+				Join(th)
+			})
+			if s.SignalNub != 1 || s.SignalFast != k {
+				t.Fatalf("%d Signals: nub=%d fast=%d, want nub=1 fast=%d", k+1, s.SignalNub, s.SignalFast, k)
+			}
+			if s.SignalMorph != x.morph || s.SignalWoke != x.woke {
+				t.Fatalf("popped waiter: morph=%d woke=%d, want morph=%d woke=%d", s.SignalMorph, s.SignalWoke, x.morph, x.woke)
+			}
+		})
+	}
 }

@@ -8,7 +8,10 @@
 //     instructions in the caller: Acquire is a test-and-set of the lock
 //     bit; Release clears the bit and calls the Nub only if the queue of
 //     blocked threads is non-empty; Signal and Broadcast return immediately
-//     when no thread is committed to waiting.
+//     when no thread is committed to waiting, counting a waiter as
+//     committed from its eventcount read until some thread removes it from
+//     the condition's queue (the Signal or Broadcast that pops it, or its
+//     own departure on Alert), so Signals after a pop stay in user code.
 //
 //   - The "nub code" layer runs under a more primitive mutual-exclusion
 //     mechanism, a test-and-set spin lock (internal/spinlock). Nub routines

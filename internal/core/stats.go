@@ -34,12 +34,12 @@ type Stats struct {
 	WaitSpin    uint64 // Block satisfied during the bounded active spin
 	WaitElided  uint64 // Block returned without descheduling (eventcount advanced)
 	WaitPark    uint64 // Block descheduled the caller
-	SignalFast  uint64 // Signal with no committed waiters: no Nub call
+	SignalFast  uint64 // Signal with no committed, un-popped waiters: no Nub call
 	SignalNub   uint64 // Signal entered the Nub
 	SignalWoke  uint64 // Signal dequeued and woke a thread
 	SignalMorph uint64 // Signal morphed a waiter onto the mutex queue instead of waking it
 	SignalRepop uint64 // Signal re-popped after losing a claim race to Alert
-	BcastFast   uint64 // Broadcast with no committed waiters
+	BcastFast   uint64 // Broadcast with no committed, un-popped waiters
 	BcastNub    uint64 // Broadcast entered the Nub
 	BcastWoke   uint64 // threads woken by Broadcast
 

@@ -15,8 +15,10 @@ type Condition struct {
 	// ec is the eventcount: an atomically-readable, monotonically
 	// increasing counter (Reed 77).
 	ec sim.Word
-	// committed counts threads that have entered the Wait protocol; the
-	// user code of Signal/Broadcast tests it to avoid Nub calls.
+	// committed counts threads that have entered the Wait protocol and
+	// are not yet off q; the user code of Signal/Broadcast tests it to
+	// avoid Nub calls. Whoever removes a thread from q drops its
+	// commitment, and a wait that never queued drops its own.
 	committed sim.Word
 	q         tqueue
 }
@@ -46,7 +48,6 @@ func (c *Condition) Wait(e *sim.Env, m *Mutex) {
 	i := e.Load(&c.ec)
 	m.releaseSilent(e)
 	c.block(e, i, "Wait(c"+strconv.Itoa(int(c.id))+")")
-	e.Add(&c.committed, ^uint64(0)) // -1
 	m.acquireSilent(e, func() {
 		c.w.emit(e, spec.Resume{T: self, M: m.id, C: c.id})
 	})
@@ -63,6 +64,7 @@ func (c *Condition) block(e *sim.Env, i uint64, reason string) {
 	w.nubLock(e)
 	if e.Load(&c.ec) != i {
 		w.nubUnlock(e)
+		c.uncommit(e)
 		w.Stats.WaitElided++
 		return
 	}
@@ -86,10 +88,12 @@ func (c *Condition) blockAlertable(e *sim.Env, i uint64, reason string) (alerted
 		// queue entirely. (The alert flag is consumed at the
 		// AlertResume linearization, in the caller.)
 		w.nubUnlock(e)
+		c.uncommit(e)
 		return true
 	}
 	if e.Load(&c.ec) != i {
 		w.nubUnlock(e)
+		c.uncommit(e)
 		w.Stats.WaitElided++
 		return false
 	}
@@ -104,8 +108,12 @@ func (c *Condition) blockAlertable(e *sim.Env, i uint64, reason string) (alerted
 	st.alertTgt = nil
 	if woke == wakeAlert {
 		// The corrected AlertWait semantics: leave c before raising, so
-		// a later Signal is not absorbed by this departed thread.
-		c.q.remove(e, self)
+		// a later Signal is not absorbed by this departed thread. A
+		// Signal or Broadcast that popped us first dropped our
+		// commitment with the pop.
+		if c.q.remove(e, self) {
+			c.uncommit(e)
+		}
 	}
 	w.nubUnlock(e)
 	return woke == wakeAlert
@@ -137,6 +145,7 @@ func (c *Condition) Signal(e *sim.Env) {
 		if t == nil {
 			break
 		}
+		c.uncommit(e)
 		st := w.state(t)
 		if st.wakeup == wakeNone {
 			st.wakeup = wakeTransfer
@@ -179,6 +188,7 @@ func (c *Condition) Broadcast(e *sim.Env) {
 		if t == nil {
 			break
 		}
+		c.uncommit(e)
 		st := w.state(t)
 		if st.wakeup == wakeNone {
 			st.wakeup = wakeTransfer
@@ -203,7 +213,6 @@ func (c *Condition) AlertWait(e *sim.Env, m *Mutex) (alerted bool) {
 	i := e.Load(&c.ec)
 	m.releaseSilent(e)
 	alerted = c.blockAlertable(e, i, "AlertWait(c"+strconv.Itoa(int(c.id))+")")
-	e.Add(&c.committed, ^uint64(0))
 	st := c.w.state(e.Self())
 	if alerted && c.w.opts.BuggyAlertSeize {
 		// The first released specification's Raise path (VariantNoMNil):
@@ -226,6 +235,9 @@ func (c *Condition) AlertWait(e *sim.Env, m *Mutex) (alerted bool) {
 	})
 	return alerted
 }
+
+// uncommit drops one thread's commitment to waiting on c (adds -1).
+func (c *Condition) uncommit(e *sim.Env) { e.Add(&c.committed, ^uint64(0)) }
 
 // Waiters reports the queue length without simulating accesses (assertions
 // and reporting only).

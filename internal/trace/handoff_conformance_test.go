@@ -2,6 +2,7 @@ package trace
 
 import (
 	"testing"
+	"time"
 
 	"threads/internal/baselines"
 	"threads/internal/core"
@@ -100,4 +101,56 @@ func TestRuntimeConformanceHandoffReadersWriters(t *testing.T) {
 			t.Fatal("no events recorded")
 		}
 	})
+}
+
+// TestRuntimeConformanceSignalAfterPop is the traced counterpart of core's
+// TestSignalAfterPopTakesFastPath: with the test holding the mutex, the
+// first of 1+k Signals pops the one waiter (morphing it under
+// HandoffAdaptive, waking it under HandoffOff) and the other k find nobody
+// committed and stay in user code, emitting nothing. The replay checks
+// that those silent Signals are admitted (c' = c) and that the popped
+// waiter's Resume is still justified by the one Signal that entered the
+// Nub.
+func TestRuntimeConformanceSignalAfterPop(t *testing.T) {
+	const k = 5
+	for name, mode := range map[string]core.HandoffMode{"HandoffAdaptive": core.HandoffAdaptive, "HandoffOff": core.HandoffOff} {
+		t.Run(name, func(t *testing.T) {
+			prevMode := core.SetHandoffMode(mode)
+			t.Cleanup(func() { core.SetHandoffMode(prevMode) })
+			defer core.EnableStats(core.EnableStats(true))
+			withRuntimeTracing(t, 1<<12, func() {
+				defer core.Detach() // tracing adopts the test goroutine
+				var (
+					m     core.Mutex
+					c     core.Condition
+					ready bool
+				)
+				th := core.Fork(func() {
+					m.Acquire()
+					for !ready {
+						c.Wait(&m)
+					}
+					m.Release()
+				})
+				for c.Waiters() == 0 {
+					time.Sleep(50 * time.Microsecond)
+				}
+				before := core.SnapshotStats()
+				m.Acquire()
+				ready = true
+				for j := 0; j <= k; j++ {
+					c.Signal()
+				}
+				m.Release()
+				core.Join(th)
+				after := core.SnapshotStats()
+				if nub, fast := after.SignalNub-before.SignalNub, after.SignalFast-before.SignalFast; nub != 1 || fast != k {
+					t.Fatalf("%d Signals: nub=%d fast=%d, want nub=1 fast=%d", k+1, nub, fast, k)
+				}
+				if n := collectRuntime(t, New()); n == 0 {
+					t.Fatal("no events recorded")
+				}
+			})
+		})
+	}
 }
