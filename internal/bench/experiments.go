@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -358,23 +359,37 @@ func E6(o Options) []*Table {
 		Note: `paper: "Return from Wait is only a hint ... Our looser specification
 reduces the obligations of the signalling thread and leads to a more
 efficient implementation on our multiprocessor." Hoare waiters never re-loop;
-Threads waiters sometimes must; Threads signallers never block.`,
-		Headers: []string{"impl", "prod", "cons", "items", "spurious rate", "items/ms"},
+Threads waiters sometimes must; Threads signallers never block. items/ms is
+the median of the cell's runs (5, or 1 with -quick), IQR its interquartile
+range; the spurious rate pools all runs.`,
+		Headers: []string{"impl", "prod", "cons", "items", "spurious rate", "items/ms", "IQR"},
 	}
 	items := o.pick(2000, 20000)
+	runs := o.pick(1, 5)
 	for _, shape := range [][2]int{{1, 1}, {2, 2}, {4, 4}} {
 		for _, mk := range []func() baselines.Monitor{
 			func() baselines.Monitor { return baselines.NewThreadsMonitor() },
 			func() baselines.Monitor { return baselines.NewHoareMonitor() },
 			func() baselines.Monitor { return baselines.NewNativeMonitor() },
 		} {
-			m := mk()
-			res := workload.ProducerConsumer(m, workload.PCConfig{
-				Producers: shape[0], Consumers: shape[1],
-				ItemsPerProducer: items / shape[0], Capacity: 4, Work: 50,
-			})
-			t.Add(m.Name(), shape[0], shape[1], res.Items,
-				Pct(res.SpuriousRate()), F(res.ItemsPerSec()/1000, 1))
+			var name string
+			var pooled workload.PCResult
+			rates := make([]float64, runs)
+			for i := range rates {
+				m := mk()
+				name = m.Name()
+				res := workload.ProducerConsumer(m, workload.PCConfig{
+					Producers: shape[0], Consumers: shape[1],
+					ItemsPerProducer: items / shape[0], Capacity: 4, Work: 50,
+				})
+				pooled.Items = res.Items
+				pooled.Waits += res.Waits
+				pooled.SpuriousResumes += res.SpuriousResumes
+				rates[i] = res.ItemsPerSec() / 1000
+			}
+			med, iqr := medianIQR(rates)
+			t.Add(name, shape[0], shape[1], pooled.Items,
+				Pct(pooled.SpuriousRate()), F(med, 1), F(iqr, 1))
 		}
 	}
 
@@ -399,6 +414,14 @@ predicate and re-Wait, Hoare waiters never can.`,
 		steal.Add(m.Name(), rounds, stolen, F(float64(stolen)/float64(rounds), 2))
 	}
 	return []*Table{t, steal}
+}
+
+// medianIQR returns the median of xs and its interquartile range, taking
+// each quartile as the nearest-rank element; it sorts xs.
+func medianIQR(xs []float64) (med, iqr float64) {
+	sort.Float64s(xs)
+	q := func(p float64) float64 { return xs[int(p*float64(len(xs)-1)+0.5)] }
+	return q(0.5), q(0.75) - q(0.25)
 }
 
 // stealTrial delivers `rounds` tokens to a consumer; after each Signal the

@@ -49,11 +49,13 @@ func optimizedConfigs() []struct {
 // TestCrossValidation holds every optimized configuration to the naive
 // verdict on every registry litmus: clean programs stay clean, broken
 // ones stay caught, and the reductions only ever shrink the per-bound
-// schedule counts — never the set of distinguishable behaviors.
+// schedule counts — never the set of distinguishable behaviors. Litmuses
+// run in parallel: each exploration is single-worker and shares nothing.
 func TestCrossValidation(t *testing.T) {
 	for _, lit := range checker.Registry() {
 		lit := lit
 		t.Run(lit.Name, func(t *testing.T) {
+			t.Parallel()
 			k := crossValK(lit)
 			naive := Explore(lit, Options{MaxPreemptions: k, Budget: testBudget})
 			if naive.Partial {

@@ -14,7 +14,7 @@ func (w *World) Alert(e *sim.Env, t *sim.T) {
 	st := w.state(t)
 	st.alerted = true
 	w.emit(e, spec.Alert{T: w.state(e.Self()).id, Target: st.id})
-	if st.alertTgt != nil && st.wakeup == wakeNone {
+	if st.alertQ != nil && st.wakeup == wakeNone {
 		st.wakeup = wakeAlert
 		e.MakeReady(t)
 	}

@@ -39,51 +39,34 @@ func (c *Condition) ID() spec.CondID { return c.id }
 // paper: read the eventcount, Release(m), call the Nub's Block(c, i),
 // Acquire(m).
 func (c *Condition) Wait(e *sim.Env, m *Mutex) {
+	c.block(e, m, false, "Wait")
 	self := c.w.state(e.Self()).id
-	// Committing to the wait is the Enqueue linearization: the counter
-	// increment is the last instruction after which a Signal is obliged
-	// to consider us waiting.
-	e.Add(&c.committed, 1)
-	c.w.emit(e, spec.Enqueue{T: self, M: m.id, C: c.id})
-	i := e.Load(&c.ec)
-	m.releaseSilent(e)
-	c.block(e, i, "Wait(c"+strconv.Itoa(int(c.id))+")")
 	m.acquireSilent(e, func() {
 		c.w.emit(e, spec.Resume{T: self, M: m.id, C: c.id})
 	})
 }
 
-// block is the Nub's Block(c, i): under the spin lock, compare i with the
-// eventcount; if they differ a Signal or Broadcast intervened and Block
-// just returns, otherwise the thread is queued and descheduled.
-func (c *Condition) block(e *sim.Env, i uint64, reason string) {
+// block is the front half of Wait and AlertWait: commit to the wait, read
+// the eventcount i, release m, then the Nub's Block(c, i) — under the spin
+// lock, compare i with the eventcount; if they differ a Signal or
+// Broadcast intervened and Block just returns, otherwise the thread is
+// queued and descheduled. An alertable block also returns on a pending
+// alert or an Alert while queued, and reports whether it did; op names the
+// operation in the deschedule reason.
+func (c *Condition) block(e *sim.Env, m *Mutex, alertable bool, op string) (alerted bool) {
 	w := c.w
 	self := e.Self()
 	st := w.state(self)
+	// Committing to the wait is the Enqueue linearization: the counter
+	// increment is the last instruction after which a Signal is obliged
+	// to consider us waiting.
+	e.Add(&c.committed, 1)
+	w.emit(e, spec.Enqueue{T: st.id, M: m.id, C: c.id})
+	i := e.Load(&c.ec)
+	m.releaseSilent(e)
 	e.Work(callCost)
 	w.nubLock(e)
-	if e.Load(&c.ec) != i {
-		w.nubUnlock(e)
-		c.uncommit(e)
-		w.Stats.WaitElided++
-		return
-	}
-	c.q.push(e, self)
-	w.nubUnlock(e)
-	w.Stats.WaitPark++
-	e.Deschedule(reason)
-	st.wakeup = wakeNone
-}
-
-// blockAlertable is block for AlertWait; it reports whether the wait ended
-// with an alert.
-func (c *Condition) blockAlertable(e *sim.Env, i uint64, reason string) (alerted bool) {
-	w := c.w
-	self := e.Self()
-	st := w.state(self)
-	e.Work(callCost)
-	w.nubLock(e)
-	if st.alerted {
+	if alertable && st.alerted {
 		// Pending alert: the RAISES WHEN clause already holds; skip the
 		// queue entirely. (The alert flag is consumed at the
 		// AlertResume linearization, in the caller.)
@@ -98,24 +81,29 @@ func (c *Condition) blockAlertable(e *sim.Env, i uint64, reason string) (alerted
 		return false
 	}
 	c.q.push(e, self)
-	st.alertTgt = &alertTarget{q: &c.q}
-	w.nubUnlock(e)
-	w.Stats.WaitPark++
-	e.Deschedule(reason)
-	w.nubLock(e)
-	woke := st.wakeup
-	st.wakeup = wakeNone
-	st.alertTgt = nil
-	if woke == wakeAlert {
-		// The corrected AlertWait semantics: leave c before raising, so
-		// a later Signal is not absorbed by this departed thread. A
-		// Signal or Broadcast that popped us first dropped our
-		// commitment with the pop.
-		if c.q.remove(e, self) {
-			c.uncommit(e)
-		}
+	if alertable {
+		st.alertQ = &c.q
 	}
 	w.nubUnlock(e)
+	w.Stats.WaitPark++
+	e.Deschedule(op + "(c" + strconv.Itoa(int(c.id)) + ")")
+	// Whoever woke us popped us first, except Alert; an alertable waiter
+	// finds out which under the spin lock.
+	if alertable {
+		w.nubLock(e)
+	}
+	woke := st.wakeup
+	st.wakeup = wakeNone
+	st.alertQ = nil
+	// The corrected AlertWait semantics: leave c before raising, so a
+	// later Signal is not absorbed by this departed thread. A Signal or
+	// Broadcast that popped us first dropped our commitment with the pop.
+	if woke == wakeAlert && c.q.remove(e, self) {
+		c.uncommit(e)
+	}
+	if alertable {
+		w.nubUnlock(e)
+	}
 	return woke == wakeAlert
 }
 
@@ -207,13 +195,9 @@ func (c *Condition) Broadcast(e *sim.Env) {
 // by Alert; in that case the thread was removed from c, the alert was
 // consumed, and the mutex was still reacquired before returning.
 func (c *Condition) AlertWait(e *sim.Env, m *Mutex) (alerted bool) {
-	self := c.w.state(e.Self()).id
-	e.Add(&c.committed, 1)
-	c.w.emit(e, spec.Enqueue{T: self, M: m.id, C: c.id})
-	i := e.Load(&c.ec)
-	m.releaseSilent(e)
-	alerted = c.blockAlertable(e, i, "AlertWait(c"+strconv.Itoa(int(c.id))+")")
+	alerted = c.block(e, m, true, "AlertWait")
 	st := c.w.state(e.Self())
+	self := st.id
 	if alerted && c.w.opts.BuggyAlertSeize {
 		// The first released specification's Raise path (VariantNoMNil):
 		// no "m = NIL &" guard, so the alerted thread returns — believing

@@ -90,8 +90,8 @@ func (w *World) digest(h *sim.Hash128) {
 			f |= 2
 		}
 		f |= uint64(st.wakeup) << 2
-		if st.alertTgt != nil {
-			f |= uint64(st.alertTgt.q.id) << 8
+		if st.alertQ != nil {
+			f |= uint64(st.alertQ.id) << 8
 		}
 		if st.handoffEmit != nil {
 			f |= 1 << 32

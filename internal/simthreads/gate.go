@@ -42,27 +42,39 @@ func (g *gate) tryAcquire(e *sim.Env, onAcquired func()) bool {
 	return won
 }
 
-// acquireSlow is the Nub subroutine for Acquire/P (SRC Report 20,
-// §Implementation): under the spin lock, add the caller to the queue and
-// test the lock bit again. If still set, deschedule; if clear, back out and
-// retry the whole operation from the test-and-set.
-func (g *gate) acquireSlow(e *sim.Env, reason string, onAcquired func()) {
+// acquireSlow is the Nub subroutine for Acquire/P/Resume and, with a
+// non-nil onAlerted, AlertP (SRC Report 20, §Implementation): under the
+// spin lock, add the caller to the queue and test the lock bit again. If
+// still set, deschedule; if clear, back out and retry the whole operation
+// from the test-and-set. An alertable wait can also be ended by Alert, in
+// which case it reports true and the gate is left untouched.
+// onAcquired/onAlerted run at the respective linearization points.
+func (g *gate) acquireSlow(e *sim.Env, reason string, onAcquired, onAlerted func()) (alerted bool) {
 	w := g.w
 	self := e.Self()
 	st := w.state(self)
+	alertable := onAlerted != nil
 	e.Work(callCost)
 	for {
 		w.nubLock(e)
+		if alertable && st.alerted {
+			// WHEN SELF IN alerts already holds: take the RAISES path.
+			st.alerted = false
+			onAlerted()
+			w.nubUnlock(e)
+			return true
+		}
 		g.q.push(e, self)
 		e.Store(&g.qne, 1)
+		if alertable {
+			st.alertQ = &g.q
+		}
 		if e.Load(&g.lockBit) == 0 {
 			// A Release slipped in before we enqueued: back out and
 			// retry from the test-and-set. We still hold the spin lock,
 			// so the releaser cannot have dequeued us.
-			g.q.remove(e, self)
-			if g.q.empty() {
-				e.Store(&g.qne, 0)
-			}
+			g.leave(e, self)
+			st.alertQ = nil
 			w.nubUnlock(e)
 		} else {
 			// Stash the acquisition action so a direct hand-off can emit it
@@ -75,86 +87,63 @@ func (g *gate) acquireSlow(e *sim.Env, reason string, onAcquired func()) {
 			w.nubUnlock(e)
 			w.Stats.AcquirePark++
 			e.Deschedule(reason)
-			// The releaser dequeued us before the wakeup; consume the
-			// claim and retry.
+			// Whoever woke us dequeued us first, except Alert; an
+			// alertable waiter finds out which under the spin lock.
+			if alertable {
+				w.nubLock(e)
+			}
 			woke := st.wakeup
 			st.wakeup = wakeNone
+			st.alertQ = nil
 			st.handoffEmit = nil
-			if woke == wakeHandoff {
+			if woke == wakeAlert {
+				// Leave the queue before reporting the alert, so a later V
+				// is not absorbed by this departed thread.
+				g.leave(e, self)
+				st.alerted = false
+				onAlerted()
+			}
+			if alertable {
+				w.nubUnlock(e)
+			}
+			switch woke {
+			case wakeHandoff:
 				// The releaser transferred the gate: the lock bit was never
-				// cleared and our acquisition is already emitted. Nothing
-				// left to retry.
-				return
+				// cleared and our acquisition is already emitted.
+				return false
+			case wakeAlert:
+				return true
 			}
 		}
 		if g.tryAcquire(e, onAcquired) {
-			return
+			return false
 		}
 	}
 }
 
-// alertableAcquireSlow is acquireSlow for AlertP: the wait can also be
-// ended by Alert, in which case the caller reports the alert and the gate
-// is left untouched. onAcquired/onAlerted run at the respective
-// linearization points.
-func (g *gate) alertableAcquireSlow(e *sim.Env, reason string, onAcquired, onAlerted func()) (alerted bool) {
-	w := g.w
-	self := e.Self()
-	st := w.state(self)
-	e.Work(callCost)
+// leave takes t off the queue under the spin lock, keeping qne exact.
+func (g *gate) leave(e *sim.Env, t *sim.T) {
+	g.q.remove(e, t)
+	if g.q.empty() {
+		e.Store(&g.qne, 0)
+	}
+}
+
+// popUnclaimed takes the most urgent queued thread that Alert has not
+// already claimed (a claimed one no longer wants the gate), keeping qne
+// exact; nil if none is left. Runs under the spin lock.
+func (g *gate) popUnclaimed(e *sim.Env) *sim.T {
 	for {
-		w.nubLock(e)
-		if st.alerted {
-			// WHEN SELF IN alerts already holds: take the RAISES path.
-			st.alerted = false
-			onAlerted()
-			w.nubUnlock(e)
-			return true
+		t := g.q.pop(e)
+		if t == nil {
+			e.Store(&g.qne, 0)
+			return nil
 		}
-		g.q.push(e, self)
-		e.Store(&g.qne, 1)
-		st.alertTgt = &alertTarget{q: &g.q}
-		if e.Load(&g.lockBit) == 0 {
-			g.q.remove(e, self)
-			if g.q.empty() {
-				e.Store(&g.qne, 0)
-			}
-			st.alertTgt = nil
-			w.nubUnlock(e)
-			if g.tryAcquire(e, onAcquired) {
-				return false
-			}
-			continue
+		if g.q.empty() {
+			e.Store(&g.qne, 0)
 		}
-		st.handoffEmit = onAcquired
-		w.piDonate(e, g, self)
-		w.nubUnlock(e)
-		e.Deschedule(reason)
-		// Woken: find out by whom, under the spin lock.
-		w.nubLock(e)
-		woke := st.wakeup
-		st.wakeup = wakeNone
-		st.alertTgt = nil
-		st.handoffEmit = nil
-		if woke == wakeHandoff {
-			w.nubUnlock(e)
-			return false
-		}
-		if woke == wakeAlert {
-			// Leave the queue before reporting the alert, so a later V
-			// is not absorbed by this departed thread.
-			g.q.remove(e, self)
-			if g.q.empty() {
-				e.Store(&g.qne, 0)
-			}
-			st.alerted = false
-			onAlerted()
-			w.nubUnlock(e)
-			return true
-		}
-		w.nubUnlock(e)
-		if g.tryAcquire(e, onAcquired) {
-			return false
+		if g.w.state(t).wakeup == wakeNone {
+			return t
 		}
 	}
 }
@@ -193,29 +182,15 @@ func (g *gate) release(e *sim.Env, onReleased func()) (tookNub bool) {
 	return true
 }
 
-// releaseSlow is the Nub subroutine for Release/V: take one thread from the
-// queue, claim it, and move it to the ready pool.
+// releaseSlow is the Nub subroutine for Release/V: take one unclaimed
+// thread from the queue and move it to the ready pool.
 func (g *gate) releaseSlow(e *sim.Env) {
 	w := g.w
 	e.Work(callCost)
 	w.nubLock(e)
-	for {
-		t := g.q.pop(e)
-		if t == nil {
-			e.Store(&g.qne, 0)
-			break
-		}
-		if g.q.empty() {
-			e.Store(&g.qne, 0)
-		}
-		st := w.state(t)
-		if st.wakeup == wakeNone {
-			st.wakeup = wakeTransfer
-			e.MakeReady(t)
-			break
-		}
-		// Already claimed by Alert: it no longer needs this wakeup; give
-		// it to the next thread.
+	if t := g.popUnclaimed(e); t != nil {
+		w.state(t).wakeup = wakeTransfer
+		e.MakeReady(t)
 	}
 	w.nubUnlock(e)
 }
@@ -234,46 +209,36 @@ func (g *gate) releaseHandoffSlow(e *sim.Env, onReleased func()) bool {
 	w := g.w
 	e.Work(callCost)
 	w.nubLock(e)
-	if e.Load(&g.lockBit) == 0 {
+	var t *sim.T
+	if e.Load(&g.lockBit) != 0 {
+		t = g.popUnclaimed(e)
+	}
+	if t == nil {
 		w.nubUnlock(e)
 		return false
 	}
-	for {
-		t := g.q.pop(e)
-		if t == nil {
-			e.Store(&g.qne, 0)
-			w.nubUnlock(e)
-			return false
-		}
-		if g.q.empty() {
-			e.Store(&g.qne, 0)
-		}
-		st := w.state(t)
-		if st.wakeup == wakeNone {
-			if onReleased != nil {
-				onReleased()
-			}
-			if st.handoffEmit != nil {
-				st.handoffEmit()
-				st.handoffEmit = nil
-			}
-			var old *sim.T
-			if g.pi {
-				// A transfer names its recipient: install it as the new
-				// donation target. The releaser's own boost is dropped only
-				// after the recipient is ready (see release).
-				old = g.holder
-				g.holder = t
-			}
-			st.wakeup = wakeHandoff
-			e.MakeReady(t)
-			if g.pi {
-				w.piUndonate(e, g, old)
-			}
-			w.nubUnlock(e)
-			w.Stats.ReleaseHandoff++
-			return true
-		}
-		// Already claimed by Alert; it no longer wants the gate.
+	if onReleased != nil {
+		onReleased()
 	}
+	st := w.state(t)
+	if st.handoffEmit != nil {
+		st.handoffEmit()
+		st.handoffEmit = nil
+	}
+	var old *sim.T
+	if g.pi {
+		// A transfer names its recipient: install it as the new donation
+		// target. The releaser's own boost is dropped only after the
+		// recipient is ready (see release).
+		old = g.holder
+		g.holder = t
+	}
+	st.wakeup = wakeHandoff
+	e.MakeReady(t)
+	if g.pi {
+		w.piUndonate(e, g, old)
+	}
+	w.nubUnlock(e)
+	w.Stats.ReleaseHandoff++
+	return true
 }

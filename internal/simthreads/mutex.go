@@ -44,7 +44,7 @@ func (m *Mutex) Acquire(e *sim.Env) {
 		return
 	}
 	m.w.Stats.AcquireNub++
-	m.g.acquireSlow(e, "Acquire(m"+strconv.Itoa(int(m.id))+")", onAcquired)
+	m.g.acquireSlow(e, "Acquire(m"+strconv.Itoa(int(m.id))+")", onAcquired, nil)
 }
 
 // acquireSilent reacquires the mutex inside Wait/AlertWait; the
@@ -55,7 +55,7 @@ func (m *Mutex) acquireSilent(e *sim.Env, onAcquired func()) {
 		return
 	}
 	m.w.Stats.AcquireNub++
-	m.g.acquireSlow(e, "Resume(m"+strconv.Itoa(int(m.id))+")", onAcquired)
+	m.g.acquireSlow(e, "Resume(m"+strconv.Itoa(int(m.id))+")", onAcquired, nil)
 }
 
 // Release frees the mutex and, if threads are queued, moves one to the
@@ -119,7 +119,7 @@ func (s *Semaphore) P(e *sim.Env) {
 	if s.g.tryAcquire(e, onAcquired) {
 		return
 	}
-	s.g.acquireSlow(e, "P(s"+strconv.Itoa(int(s.id))+")", onAcquired)
+	s.g.acquireSlow(e, "P(s"+strconv.Itoa(int(s.id))+")", onAcquired, nil)
 }
 
 // V makes the semaphore available, waking one queued thread if any.
@@ -145,7 +145,7 @@ func (s *Semaphore) AlertP(e *sim.Env) (alerted bool) {
 		// RETURNS, as the Firefly implementation did.
 		return false
 	}
-	return s.g.alertableAcquireSlow(e, "AlertP(s"+strconv.Itoa(int(s.id))+")", onAcquired, onAlerted)
+	return s.g.acquireSlow(e, "AlertP(s"+strconv.Itoa(int(s.id))+")", onAcquired, onAlerted)
 }
 
 // Available reports the lock bit without simulating an access.

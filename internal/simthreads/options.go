@@ -11,7 +11,9 @@ type WorldOptions struct {
 	// Acquire/Release/P/V enters the Nub and runs under the global spin
 	// lock, as a naive single-layer implementation would. The paper's
 	// point: "The user code avoids the overhead of calling the Nub in
-	// these cases" — this option restores that overhead.
+	// these cases" — this option restores that overhead. Wait's internal
+	// release and reacquisition and AlertP keep the user code; the ablated
+	// release still wakes through the one pop-and-claim loop.
 	NoUserFastPath bool
 	// NoSignalFastPath makes Signal and Broadcast always call the Nub,
 	// even when no thread is committed to waiting (removing "Signal and
@@ -33,7 +35,9 @@ type WorldOptions struct {
 	// core.HandoffMode). The simulated form is unconditional (no adaptive
 	// threshold: the simulator has no starvation clock) and applies only to
 	// the fast-path release; the NoUserFastPath ablation composes with it
-	// by simply never reaching the hand-off.
+	// by simply never reaching the hand-off. The recipient may be parked in
+	// any caller of the one acquisition loop, AlertP included: the most
+	// urgent waiter Alert has not claimed.
 	DirectHandoff bool
 	// PriorityInheritance enables priority inheritance on every mutex the
 	// world creates, mirroring core.Mutex.SetPriorityInheritance: a blocked
@@ -106,21 +110,9 @@ func (g *gate) releaseNubOnly(e *sim.Env, onReleased func()) {
 	if onReleased != nil {
 		onReleased()
 	}
-	for {
-		t := g.q.pop(e)
-		if t == nil {
-			e.Store(&g.qne, 0)
-			break
-		}
-		if g.q.empty() {
-			e.Store(&g.qne, 0)
-		}
-		st := w.state(t)
-		if st.wakeup == wakeNone {
-			st.wakeup = wakeTransfer
-			e.MakeReady(t)
-			break
-		}
+	if t := g.popUnclaimed(e); t != nil {
+		w.state(t).wakeup = wakeTransfer
+		e.MakeReady(t)
 	}
 	w.piUndonate(e, g, prevHolder)
 	w.nubUnlock(e)

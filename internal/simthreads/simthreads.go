@@ -16,6 +16,13 @@
 //     and move woken threads to the simulator's ready pool. Nub critical
 //     sections run non-preemptible, as kernel code did on the Firefly.
 //
+// Each primitive has one Nub path, as in internal/core: one acquisition
+// loop (gate.acquireSlow) serves Acquire, P, Wait's reacquisition and —
+// given an onAlerted action — AlertP; one Block (Condition.block) serves
+// Wait and AlertWait; and the release side takes waiters off a gate queue
+// through one pop-and-claim loop (gate.popUnclaimed). The alertable-only
+// steps are branches inside the shared loops.
+//
 // A mutex is (lock bit, queue); a semaphore is identical. A condition
 // variable is (eventcount, queue): Wait reads the eventcount, releases the
 // mutex, and calls Block(c, i), which under the spin lock compares i with
@@ -90,10 +97,10 @@ type Stats struct {
 // lock (except alerted's pending-read in user code, which is racy in the
 // same benign way the real flag read is).
 type tstate struct {
-	id       spec.ThreadID
-	alerted  bool
-	wakeup   wakeReason
-	alertTgt *alertTarget // non-nil while blocked alertably
+	id      spec.ThreadID
+	alerted bool
+	wakeup  wakeReason
+	alertQ  *tqueue // the queue it sleeps on while blocked alertably
 	// handoffEmit is the blocked acquisition's linearization-point action,
 	// stashed (under the Nub spin lock, before descheduling) so a direct
 	// hand-off can run it in the RELEASER's slice: the release and the
@@ -118,12 +125,6 @@ const (
 	wakeAlert               // woken by Alert
 	wakeHandoff             // woken holding: the releaser transferred the gate
 )
-
-// alertTarget records where an alertably-blocked thread can be found so
-// Alert can remove it; q is the queue it sleeps on.
-type alertTarget struct {
-	q *tqueue
-}
 
 // tqueue is a FIFO of simulated threads, manipulated only under the Nub
 // spin lock; each operation charges queueOpCost instructions. The id
